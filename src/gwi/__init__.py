@@ -70,14 +70,11 @@ from .sde import (
     limit_system_marginals,
     make_grid,
     simulate_limit_system,
-    simulate_squared_bessel,
-    squared_bessel_marginals,
 )
 from .harness import (
     ConvergenceReport,
     GrowthFitResult,
     ScaledStepProcess,
-    exponents_for_case,
     growth_fit,
     ks_two_sample,
     run_convergence_experiment,

@@ -107,6 +107,11 @@ def _threads(value: str) -> int:
     return n
 
 
+def _require_csv(args) -> None:
+    if args.format != "csv":
+        raise ValidationError(f"{args.command} writes CSV only, not --format {args.format}")
+
+
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     cid = detect_case(model.A)
@@ -140,10 +145,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _require_csv(args)
     model = load_model(args.model)
-    trajectories = simulate_replicas(
-        model, args.steps, args.seed, args.replicas, workers=args.threads
-    )
+    trajectories = simulate_replicas(model, args.steps, args.seed, args.replicas)
     header = [f"X_{i + 1}" for i in range(model.p)]
     if args.split_files:
         if not args.out:
@@ -204,6 +208,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_sde(args) -> int:
+    _require_csv(args)
     system = LimitSystem(
         case=args.case,
         b=(args.b1, args.b2, args.b3),
@@ -315,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", default=argparse.SUPPRESS, help="JSON file whose keys override matching flags"
     )
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
-    common.add_argument("--threads", type=_threads, default=1, help="worker count or 'auto'")
+    common.add_argument(
+        "--threads",
+        type=_threads,
+        default=1,
+        help="worker count or 'auto'; accepted for compatibility, has no effect",
+    )
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -25,4 +25,8 @@ class DegenerateLawError(GwiError):
 
 
 class OverflowGuardError(GwiError):
-    """A simulated population coordinate exceeded the 2**63 - 1 guard."""
+    """A simulated population coordinate exceeded the 2**53 guard.
+
+    Summed offspring draws are exact only for populations up to 2**53, so the
+    simulator stops there instead of returning inexact states.
+    """

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 from scipy import special, stats
 
-from ._cases import exponents_for_case
 from .errors import DegenerateLawError, ValidationError
 from .model import GwiModel, detect_case
 from .moments import mean_vector, moment_growth_targets
@@ -29,7 +28,6 @@ from .sde import (
 from .simulate import simulate_ensemble
 
 __all__ = [
-    "exponents_for_case",
     "ScaledStepProcess",
     "step_integral_functional",
     "ks_two_sample",
@@ -251,7 +249,7 @@ def run_convergence_experiment(
         raise ValidationError("t_points must be nonempty and positive")
 
     system = LimitSystem.from_model(model)
-    exps = np.asarray(exponents_for_case(case), dtype=float)
+    exps = np.asarray(system.exponents, dtype=float)
     perm = np.asarray(cid.permutation)
 
     root = np.random.SeedSequence(entropy=seed)

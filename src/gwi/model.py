@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-12
-_RADIUS_TOL = 1e-10
-_RADIUS_MAX_ITER = 100_000
 _CRIT_TOL = 1e-8
 
 
@@ -132,34 +130,18 @@ def build_model(offspring_specs, immigration_spec: DistributionSpec) -> GwiModel
     return GwiModel(offspring=offspring, immigration=immigration_spec, A=A, b=b, V=tuple(V))
 
 
-def _is_triangular(a: np.ndarray) -> bool:
-    return not np.any(np.tril(a, -1)) or not np.any(np.triu(a, 1))
-
-
-def spectral_radius(a, tol: float = _RADIUS_TOL, max_iter: int = _RADIUS_MAX_ITER) -> float:
+def spectral_radius(a) -> float:
     """Spectral radius of a nonnegative square matrix.
 
-    Triangular matrices are read off the diagonal exactly.  Otherwise power
-    iteration runs on A + I (the shift keeps the Perron root dominant even for
-    periodic matrices) and 1 is subtracted at the end.
+    The largest Perron root over the irreducible diagonal blocks of the
+    reducible normal form, each taken from ``np.linalg.eigvals``; a
+    triangular matrix has 1x1 blocks, so its radius is read off the diagonal
+    exactly.
     """
-    a = _check_square_nonneg(a)
-    if _is_triangular(a):
-        return float(np.max(np.diag(a)))
-    shifted = a + np.eye(a.shape[0])
-    x = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
-    estimate = 0.0
-    for _ in range(max_iter):
-        y = shifted @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        new_estimate = float(x @ (shifted @ x))
-        if abs(new_estimate - estimate) <= tol:
-            return new_estimate - 1.0
-        estimate = new_estimate
-    return estimate - 1.0
+    return max(
+        float(np.max(np.abs(np.linalg.eigvals(block))))
+        for block in reducible_normal_form(a).blocks()
+    )
 
 
 def classify_criticality(a) -> str:

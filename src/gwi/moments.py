@@ -5,8 +5,8 @@ satisfies C^p = 0, so every power of A is the finite binomial sum
 ``A^k = sum_m binom(k, m) C^m``.  Everything here flows from that identity:
 the mean E X_k is a polynomial in k in the binomial basis, the growth
 exponent of coordinate i is read off the positivity pattern of the powers of
-C, and the leading asymptotic term comes from the first coordinate with
-positive immigration mean.
+C, and the leading asymptotic term is the top nonzero coefficient of the mean
+polynomial.
 
 Binomial coefficients are exact Python integers; integer-valued matrices are
 computed in exact integer arithmetic, float matrices in float64.
@@ -231,23 +231,13 @@ def growth_exponents(a, b) -> GrowthExponents:
 def leading_asymptotic(model: GwiModel, i: int) -> tuple[int, float]:
     """Dominant binomial term of E X_{k, i}: (degree, coefficient).
 
-    With r the first coordinate <= i carrying positive immigration mean,
-    E X_{k, i} = coefficient * binom(k, degree) + O(k^(degree - 1)) where
-    degree = i - r + 1 and coefficient = b_r * ((A - I)^(i - r))[i, r].
-    Returns (0, 0.0) when no coordinate <= i has positive immigration mean
-    (then E X_{k, i} is identically zero).
+    The top nonzero coefficient of :func:`mean_polynomial`, so that
+    E X_{k, i} = coefficient * binom(k, degree) + O(k^(degree - 1)).
+    Returns (0, 0.0) when E X_{k, i} is identically zero.
     """
-    if not model.is_lower_unipotent():
-        raise ValidationError("leading asymptotic requires a lower-unipotent mean matrix")
-    if not (0 <= i < model.p):
-        raise ValidationError(f"coordinate must be in 0..{model.p - 1}")
-    positive = [r for r in range(i + 1) if model.b[r] > 0]
-    if not positive:
-        return (0, 0.0)
-    r = positive[0]
-    uni = UnipotentMatrix(model.A)
-    coefficient = float(model.b[r]) * float(uni.c_powers[i - r][i, r])
-    return (i - r + 1, coefficient)
+    poly = mean_polynomial(model, i)
+    degree = poly.degree
+    return (degree, poly.coeffs[degree - 1] if degree else 0.0)
 
 
 def moment_growth_targets(model: GwiModel) -> dict:

@@ -1,21 +1,25 @@
-"""The four limit diffusion systems and their analytic moments.
+"""Limit diffusion systems of 3-type lower-unipotent processes, and their means.
 
-Coordinate 1 is always a squared Bessel process started at zero,
+One rule gives every coordinate.  With d = ``growth_exponents(A, b).degrees``
+the growth degrees of the normalized mean matrix A:
 
-    dX_1 = b_1 dt + sqrt(v_1 max(X_1, 0)) dW,
+* d_i = 1: X_i is a squared Bessel process started at zero,
+  dX_i = b_i dt + sqrt(v_i max(X_i, 0)) dW_i, with independent W_i;
+* d_i > 1: X_i = int_0^t sum_{j: d_j = d_i - 1} a_ij X_j(s) ds.
 
-simulated with Euler-Maruyama: the positive part sits inside the square root
-exactly as in the SDE, and each step is clamped at zero so paths stay
-nonnegative.  Depending on the sub-diagonal pattern, the remaining
-coordinates are further independent squared Bessel processes or (iterated)
-time integrals accumulated with the trapezoidal rule on the same grid:
+Applied twice, the second case gives the 2-fold iterated integral of pattern
+4, which also has the kernel forms (t - s) and (t - s)^2 / 2 (see
+:func:`kernel_representation_check`).  The same rule gives the limit mean
+E X_i(t) = c_i t^(d_i) / d_i!, with c_i = b_i if d_i = 1 and
+c_i = sum_j a_ij c_j over the same j otherwise.
 
-* pattern 1: three independent squared Bessel coordinates;
-* pattern 2: two independent squared Bessel, X_3 integrates a31 X_1 + a32 X_2;
-* pattern 3: X_2 = a21 * int X_1, X_3 = a31 * int X_1;
-* pattern 4: X_2 = a21 * int X_1, X_3 = a32 * int X_2 (a 2-fold iterated
-  integral of X_1, also expressible through the kernels (t - s) and
-  (t - s)^2 / 2; see :func:`kernel_representation_check`).
+One streaming kernel integrates every system on a time grid.  Squared Bessel
+coordinates take Euler-Maruyama steps (the positive part sits inside the
+square root exactly as in the SDE, and each step is clamped at zero so paths
+stay nonnegative) and draw their normals in coordinate order; integral
+coordinates take trapezoidal steps on the same grid.  A lone squared Bessel
+process is coordinate 0 of ``LimitSystem(case=1, b=(b, 0, 0), v=(v, 0, 0))``:
+a zero ``v`` draws nothing.
 
 The squared Bessel marginal at time t started from zero is
 Gamma(shape 2 b / v, scale v t / 2), which serves as the exact reference law
@@ -24,14 +28,16 @@ for distributional tests on the first coordinate.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._cases import exponents_for_case
 from .errors import DegenerateLawError, ValidationError
 from .model import GwiModel, detect_case
+from .moments import growth_exponents
 
 __all__ = [
     "LimitSystem",
@@ -39,8 +45,6 @@ __all__ = [
     "GammaLaw",
     "KernelResiduals",
     "make_grid",
-    "simulate_squared_bessel",
-    "squared_bessel_marginals",
     "simulate_limit_system",
     "limit_system_marginals",
     "limit_mean_vector",
@@ -55,8 +59,12 @@ class LimitSystem:
 
     ``b[i]`` is the immigration mean of coordinate i+1, ``v[i]`` the offspring
     variance of type i+1 in its own coordinate; a21/a31/a32 are the
-    sub-diagonal mean-matrix entries.  The sign pattern must match ``case``,
-    and ``exponents`` is the scaling triple of that pattern.
+    sub-diagonal mean-matrix entries, whose sign pattern must be pattern
+    ``case`` without a coordinate swap.  Derived at construction:
+    ``exponents`` holds the growth degrees d of the mean matrix (the scaling
+    exponents of the pattern), and ``sources[i]`` the pairs (j, a_ij) with
+    d_j = d_i - 1 and a_ij > 0 that coordinate i integrates; it is empty
+    exactly for the squared Bessel coordinates (d_i = 1).
     """
 
     case: int
@@ -66,24 +74,31 @@ class LimitSystem:
     a31: float = 0.0
     a32: float = 0.0
     exponents: tuple[int, int, int] = field(init=False)
+    sources: tuple[tuple[tuple[int, float], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.case not in (1, 2, 3, 4):
-            raise ValidationError(f"case must be 1..4, got {self.case}")
-        if any(x < 0 for x in (*self.b, *self.v, self.a21, self.a31, self.a32)):
-            raise ValidationError("all limit-system parameters must be nonnegative")
-        patterns = {
-            1: (self.a21 == 0 and self.a31 == 0 and self.a32 == 0),
-            2: (self.a21 == 0 and self.a31 > 0),
-            3: (self.a21 > 0 and self.a31 > 0 and self.a32 == 0),
-            4: (self.a21 > 0 and self.a32 > 0),
-        }
-        if not patterns[self.case]:
+        params = (*self.b, *self.v, self.a21, self.a31, self.a32)
+        if not all(math.isfinite(x) and x >= 0 for x in params):
+            raise ValidationError("all limit-system parameters must be finite and nonnegative")
+        a = np.eye(3)
+        a[1, 0], a[2, 0], a[2, 1] = self.a21, self.a31, self.a32
+        cid = detect_case(a, tol=0.0)
+        if cid.value != self.case or not cid.is_identity:
             raise ValidationError(
                 f"(a21, a31, a32) = ({self.a21}, {self.a31}, {self.a32}) "
                 f"does not match pattern {self.case}"
             )
-        object.__setattr__(self, "exponents", exponents_for_case(self.case))
+        degrees = growth_exponents(a, self.b).degrees
+        sources = tuple(
+            tuple(
+                (j, float(a[i, j]))
+                for j in range(i)
+                if degrees[j] == degrees[i] - 1 and a[i, j] > 0
+            )
+            for i in range(3)
+        )
+        object.__setattr__(self, "exponents", degrees)
+        object.__setattr__(self, "sources", sources)
 
     @classmethod
     def from_model(cls, model: GwiModel) -> "LimitSystem":
@@ -126,8 +141,8 @@ class GammaLaw(NamedTuple):
 
 def make_grid(horizon: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, 2 dt, ..., covering [0, horizon]."""
-    if dt <= 0 or horizon <= 0:
-        raise ValidationError("horizon and dt must be positive")
+    if not (math.isfinite(horizon) and dt > 0 and horizon > 0):
+        raise ValidationError("horizon and dt must be positive and finite")
     steps = int(round(horizon / dt))
     if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         steps = int(np.ceil(horizon / dt))
@@ -155,91 +170,46 @@ def _besq_step(
     return np.maximum(drift + diffusion, 0.0)
 
 
-def simulate_squared_bessel(
-    b: float, v: float, grid, seed: int | np.random.SeedSequence, *, n_paths: int = 1
-) -> np.ndarray:
-    """Euler-Maruyama paths of dX = b dt + sqrt(v max(X,0)) dW, X(0) = 0.
+def _flow(sources, xs: list[np.ndarray]) -> np.ndarray:
+    """sum_j a_ij X_j over one coordinate's sources, added in source order."""
+    (j, a), *rest = sources
+    total = a * xs[j]
+    for j, a in rest:
+        total = total + a * xs[j]
+    return total
 
-    Returns shape ``(n_paths, len(grid))``; deterministic given the seed.
+
+def _integrate(b, v, sources, dts, record_at, n_paths: int, rng) -> np.ndarray:
+    """Stream one limit system from X(0) = 0 over the time steps ``dts``.
+
+    Returns the states after the steps listed in ``record_at`` (0 is the
+    start), shape (n_paths, len(record_at), p).  A coordinate without sources
+    takes a squared Bessel step, drawing n_paths normals when its v > 0; a
+    coordinate with sources adds the trapezoid of sum_j a_ij X_j.  Only the
+    current state is held between steps.
     """
-    if b < 0 or v < 0:
-        raise ValidationError("b and v must be nonnegative")
-    grid = _check_grid(grid)
-    rng = np.random.default_rng(seed)
-    x = np.zeros((n_paths, grid.size))
-    for m in range(grid.size - 1):
-        dt = grid[m + 1] - grid[m]
-        normals = rng.standard_normal(n_paths) if v > 0 else 0.0
-        x[:, m + 1] = _besq_step(x[:, m], b, v, dt, normals)
-    return x
-
-
-def squared_bessel_marginals(
-    b: float, v: float, t_points, dt: float, n_paths: int, seed: int
-) -> np.ndarray:
-    """Marginals at ``t_points`` only (streaming; no full-path storage).
-
-    Returns shape ``(n_paths, len(t_points))``.
-    """
-    if b < 0 or v < 0:
-        raise ValidationError("b and v must be nonnegative")
-    indices = _grid_indices(t_points, dt)
-    rng = np.random.default_rng(seed)
-    x = np.zeros(n_paths)
-    out = np.zeros((n_paths, indices.size))
-    out[:, indices == 0] = 0.0
-    for m in range(1, int(indices.max()) + 1):
-        normals = rng.standard_normal(n_paths) if v > 0 else 0.0
-        x = _besq_step(x, b, v, dt, normals)
-        for h in np.flatnonzero(indices == m):
-            out[:, h] = x
+    if n_paths < 1:
+        raise ValidationError("the number of paths must be >= 1")
+    p = len(b)
+    slots: dict[int, list[int]] = {}
+    for pos, m in enumerate(record_at):
+        slots.setdefault(m, []).append(pos)
+    out = np.zeros((n_paths, len(record_at), p))
+    state = [np.zeros(n_paths) for _ in range(p)]
+    for m, dt in enumerate(dts, start=1):
+        new: list[np.ndarray] = []
+        for i in range(p):
+            if sources[i]:
+                trap = _flow(sources[i], state) + _flow(sources[i], new)
+                new.append(state[i] + 0.5 * dt * trap)
+            else:
+                normals = rng.standard_normal(n_paths) if v[i] > 0 else 0.0
+                new.append(_besq_step(state[i], b[i], v[i], dt, normals))
+        state = new
+        for pos in slots.get(m, ()):
+            for i in range(p):
+                out[:, pos, i] = state[i]
     return out
-
-
-def _limit_system_stepper(system: LimitSystem, n_paths: int, rng: np.random.Generator):
-    """Returns (state, step) where step(state, dt) advances all coordinates.
-
-    Diffusive coordinates take an Euler-Maruyama step; integral coordinates
-    accumulate their integrands by the trapezoidal rule on the same grid.
-    """
-    b, v = system.b, system.v
-    a21, a31, a32 = system.a21, system.a31, system.a32
-    state = np.zeros((n_paths, 3))
-
-    def besq(i: int, x: np.ndarray, dt: float) -> np.ndarray:
-        normals = rng.standard_normal(n_paths) if v[i] > 0 else 0.0
-        return _besq_step(x, b[i], v[i], dt, normals)
-
-    if system.case == 1:
-
-        def step(s: np.ndarray, dt: float) -> np.ndarray:
-            return np.column_stack([besq(0, s[:, 0], dt), besq(1, s[:, 1], dt), besq(2, s[:, 2], dt)])
-
-    elif system.case == 2:
-
-        def step(s: np.ndarray, dt: float) -> np.ndarray:
-            x1 = besq(0, s[:, 0], dt)
-            x2 = besq(1, s[:, 1], dt)
-            old = a31 * s[:, 0] + a32 * s[:, 1]
-            new = a31 * x1 + a32 * x2
-            return np.column_stack([x1, x2, s[:, 2] + 0.5 * dt * (old + new)])
-
-    elif system.case == 3:
-
-        def step(s: np.ndarray, dt: float) -> np.ndarray:
-            x1 = besq(0, s[:, 0], dt)
-            trap = 0.5 * dt * (s[:, 0] + x1)
-            return np.column_stack([x1, s[:, 1] + a21 * trap, s[:, 2] + a31 * trap])
-
-    else:  # case 4: second coordinate integrates X1, third integrates X2
-
-        def step(s: np.ndarray, dt: float) -> np.ndarray:
-            x1 = besq(0, s[:, 0], dt)
-            x2 = s[:, 1] + a21 * 0.5 * dt * (s[:, 0] + x1)
-            x3 = s[:, 2] + a32 * 0.5 * dt * (s[:, 1] + x2)
-            return np.column_stack([x1, x2, x3])
-
-    return state, step
 
 
 def simulate_limit_system(
@@ -247,12 +217,15 @@ def simulate_limit_system(
 ) -> SdePath:
     """Simulate the 3-coordinate limit system on a grid, all paths stored."""
     grid = _check_grid(grid)
-    rng = np.random.default_rng(seed)
-    state, step = _limit_system_stepper(system, n_paths, rng)
-    values = np.zeros((n_paths, grid.size, 3))
-    for m in range(grid.size - 1):
-        state = step(state, grid[m + 1] - grid[m])
-        values[:, m + 1, :] = state
+    values = _integrate(
+        system.b,
+        system.v,
+        system.sources,
+        np.diff(grid).tolist(),
+        range(grid.size),
+        n_paths,
+        np.random.default_rng(seed),
+    )
     return SdePath(grid=grid, values=values, seed=seed)
 
 
@@ -260,7 +233,7 @@ def _grid_indices(t_points, dt: float) -> np.ndarray:
     t_points = np.asarray(t_points, dtype=float)
     if t_points.ndim != 1 or t_points.size == 0 or np.any(t_points < 0):
         raise ValidationError("t_points must be nonnegative and nonempty")
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("dt must be positive")
     indices = np.round(t_points / dt).astype(int)
     if np.any(np.abs(indices * dt - t_points) > 1e-9):
@@ -276,40 +249,31 @@ def limit_system_marginals(
     Streaming uniform-grid simulation; every requested time must sit on the
     grid (within 1e-9).
     """
-    indices = _grid_indices(t_points, dt)
-    rng = np.random.default_rng(seed)
-    state, step = _limit_system_stepper(system, n_paths, rng)
-    out = np.zeros((n_paths, indices.size, 3))
-    out[:, indices == 0, :] = 0.0
-    for m in range(1, int(indices.max()) + 1):
-        state = step(state, dt)
-        hit = np.flatnonzero(indices == m)
-        for h in hit:
-            out[:, h, :] = state
-    return out
+    indices = _grid_indices(t_points, dt).tolist()
+    return _integrate(
+        system.b,
+        system.v,
+        system.sources,
+        itertools.repeat(dt, max(indices)),
+        indices,
+        n_paths,
+        np.random.default_rng(seed),
+    )
 
 
 def limit_mean_vector(system: LimitSystem, t: float) -> np.ndarray:
-    """Closed-form E[X_t] of the limit system (integrate the drift)."""
+    """Closed-form E[X_t] = c_i t^(d_i) / d_i! of the limit system.
+
+    c_i = b_i for a squared Bessel coordinate, c_i = sum_j a_ij c_j over its
+    sources otherwise.
+    """
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    b1, b2, b3 = system.b
-    if system.case == 1:
-        return np.array([b1 * t, b2 * t, b3 * t])
-    if system.case == 2:
-        return np.array(
-            [b1 * t, b2 * t, (system.a31 * b1 + system.a32 * b2) * t**2 / 2.0]
-        )
-    if system.case == 3:
-        return np.array(
-            [b1 * t, system.a21 * b1 * t**2 / 2.0, system.a31 * b1 * t**2 / 2.0]
-        )
+    c: list[float] = []
+    for i, src in enumerate(system.sources):
+        c.append(sum(a * c[j] for j, a in src) if src else system.b[i])
     return np.array(
-        [
-            b1 * t,
-            system.a21 * b1 * t**2 / 2.0,
-            system.a32 * system.a21 * b1 * t**3 / 6.0,
-        ]
+        [ci * t**d / math.factorial(d) for ci, d in zip(c, system.exponents)]
     )
 
 

@@ -6,8 +6,8 @@ every individual of each type plus one immigration vector:
     X_k = sum_i sum_{j <= X_{k-1, i}} xi_{k, j, i} + eps_k.
 
 Two simulation paths are provided.  :func:`simulate_trajectory` gives each
-trajectory its own generator keyed by ``(seed, replica)`` so replicas can run
-in parallel with results that depend only on the seeds.
+trajectory its own generator keyed by ``(seed, replica)``, so each replica
+depends only on its seeds and not on which other replicas run.
 :func:`simulate_ensemble` advances many replicas in lock-step from a single
 generator with vectorized draws, the fast path for large Monte Carlo
 estimates; it is deterministic given its seed and indifferent to threading
@@ -16,7 +16,6 @@ because it never threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -90,7 +89,8 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Simulate X_0..X_steps; deterministic given (model, steps, seed, replica).
 
-    Raises :class:`OverflowGuardError` if any coordinate would exceed 2**63 - 1.
+    Raises :class:`OverflowGuardError` once a coordinate exceeds 2**53, the
+    largest population whose offspring sums are still drawn exactly.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
@@ -111,27 +111,22 @@ def simulate_replicas(
     seed: int,
     replicas: int,
     *,
-    workers: int = 1,
     initial=None,
     exact_sums: bool = True,
 ) -> list[Trajectory]:
-    """Independent trajectories for replica indices 0..replicas-1.
+    """Independent trajectories for replica indices 0..replicas-1, in order.
 
-    Each replica owns its generator, so the result is identical for any
-    ``workers`` count; the returned list is ordered by replica index.
+    Replica r is ``simulate_trajectory(..., replica=r)``: each owns its
+    generator, so every replica depends only on ``(seed, r)``.
     """
     if replicas < 1:
         raise ValidationError("replicas must be >= 1")
-
-    def run(r: int) -> Trajectory:
-        return simulate_trajectory(
+    return [
+        simulate_trajectory(
             model, steps, seed, replica=r, initial=initial, exact_sums=exact_sums
         )
-
-    if workers <= 1:
-        return [run(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(replicas)))
+        for r in range(replicas)
+    ]
 
 
 def step_ensemble(

@@ -23,13 +23,13 @@ from gwi import (
     growth_fit,
     kernel_representation_check,
     leading_asymptotic,
+    limit_system_marginals,
     make_grid,
     mean_vector,
     run_convergence_experiment,
     simulate_ensemble,
-    simulate_squared_bessel,
+    simulate_limit_system,
     simulate_trajectory,
-    squared_bessel_marginals,
     unipotent_power,
     variance_matrix,
     weighted_sum_identity_1,
@@ -38,7 +38,7 @@ from gwi import (
 )
 from gwi.cli import main as cli_main
 from gwi import save_model
-from util import poisson_case_model, random_unipotent, single_type_poisson
+from util import besq_system, poisson_case_model, random_unipotent, single_type_poisson
 
 FLAGSHIP_IMMIGRATION = (1.0, 2.0, 2.0)
 # per-pattern seeds for the flagship experiments; see the repo notes on the
@@ -174,7 +174,7 @@ def test_criterion_4_leading_asymptotics():
 def test_criterion_5_squared_bessel_moments_and_law():
     started = time.time()
     b = v = 1.0
-    vals = squared_bessel_marginals(b, v, [1.0, 2.0], 1e-3, 100_000, seed=5001)
+    vals = limit_system_marginals(besq_system(b, v), [1.0, 2.0], 1e-3, 100_000, seed=5001)[:, :, 0]
     for idx, t in enumerate((1.0, 2.0)):
         sample = vals[:, idx]
         mean_err = abs(sample.mean() - b * t) / (b * t)
@@ -183,7 +183,7 @@ def test_criterion_5_squared_bessel_moments_and_law():
         assert mean_err <= 0.02, (t, mean_err)
         assert var_err <= 0.05, (t, var_err)
 
-    fine = squared_bessel_marginals(b, v, [1.0], 1e-4, 10_000, seed=5002)[:, 0]
+    fine = limit_system_marginals(besq_system(b, v), [1.0], 1e-4, 10_000, seed=5002)[:, 0, 0]
     law = exact_first_coordinate_law(b, v, 1.0)
     res = stats.kstest(fine, stats.gamma(a=law.shape, scale=law.scale).cdf)
     assert res.pvalue > 0.01, res
@@ -251,7 +251,7 @@ def test_criterion_8_kernel_representations():
     started = time.time()
     dt = 1e-3
     grid = make_grid(1.0, dt)
-    paths = simulate_squared_bessel(1.0, 1.0, grid, seed=8001, n_paths=100)
+    paths = simulate_limit_system(besq_system(1.0, 1.0), grid, seed=8001, n_paths=100).values[:, :, 0]
     worst = 0.0
     for p in range(paths.shape[0]):
         res = kernel_representation_check(paths[p], grid, 1.0, 1.0, 1.0)

@@ -218,6 +218,24 @@ def test_sde_rejects_bad_pattern(tmp_path):
     ) == 2
 
 
+def test_sde_rejects_nonpositive_paths_and_nonfinite_values(tmp_path, capsys):
+    for flag, value in (("--paths", "0"), ("--paths", "-3"), ("--dt", "nan"), ("--b1", "nan"), ("--v1", "inf")):
+        argv = ["sde", "--case", "1", "--b1", "1.0", flag, value, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2, (flag, value)
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_sde_and_simulate_reject_json_format(tmp_path, case4_model_path, capsys):
+    for argv in (
+        ["sde", "--case", "1", "--b1", "1.0"],
+        ["simulate", "--model", case4_model_path, "--steps", "3"],
+    ):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 def test_identities_subcommand(capsys):
     assert main(["identities", "--max-k", "30", "--trials", "40", "--seed", "5"]) == 0
     out = capsys.readouterr().out

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gwi import (
+    LimitSystem,
     ScaledStepProcess,
     ValidationError,
     decomposition_components,
-    exponents_for_case,
     growth_exponents,
     growth_fit,
     ks_two_sample,
@@ -20,17 +20,18 @@ from gwi import (
 from util import deterministic_model, poisson_case_model, single_type_poisson
 
 
-@pytest.mark.parametrize(
-    "case, expected",
-    [(1, (1, 1, 1)), (2, (1, 1, 2)), (3, (1, 2, 2)), (4, (1, 2, 3))],
-)
+# scaling exponents of each sub-diagonal sign pattern, as tabulated in the paper
+EXPONENT_TABLE = {1: (1, 1, 1), 2: (1, 1, 2), 3: (1, 2, 2), 4: (1, 2, 3)}
+
+
+@pytest.mark.parametrize("case, expected", list(EXPONENT_TABLE.items()))
 def test_exponents_for_case(case, expected):
-    assert exponents_for_case(case) == expected
+    assert LimitSystem.from_model(poisson_case_model(case)).exponents == expected
 
 
 def test_exponents_for_case_rejects_unknown():
     with pytest.raises(ValidationError):
-        exponents_for_case(5)
+        LimitSystem(case=5, b=(1, 1, 1), v=(1, 1, 1))
 
 
 def test_exponents_match_growth_exponents_for_random_patterns():
@@ -44,7 +45,8 @@ def test_exponents_match_growth_exponents_for_random_patterns():
                     for v in {1: (0, 0, 0), 2: (0, 1, rng.integers(0, 2)), 3: (1, 1, 0), 4: (1, rng.integers(0, 2), 1)}[case]
                 ),
             )
-            assert growth_exponents(model.A, model.b).degrees == exponents_for_case(case)
+            assert growth_exponents(model.A, model.b).degrees == EXPONENT_TABLE[case]
+            assert LimitSystem.from_model(model).exponents == EXPONENT_TABLE[case]
 
 
 def test_scaled_step_process_is_piecewise_constant():

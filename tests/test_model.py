@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_classify_rejects_bad_input():
         classify_criticality([[-1.0]])
 
 
-def test_spectral_radius_power_iteration_matches_eig():
+def test_spectral_radius_matches_eig():
     rng = np.random.default_rng(7)
     for _ in range(25):
         p = int(rng.integers(2, 6))
@@ -83,6 +85,15 @@ def test_spectral_radius_power_iteration_matches_eig():
         a[0, -1] += 0.5  # keep it non-triangular
         expected = np.max(np.abs(np.linalg.eigvals(a)))
         assert spectral_radius(a) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_flagship_patterns_are_critical_in_every_type_order(case):
+    a = poisson_case_model(case, immigration=(1.0, 2.0, 2.0)).A
+    for order in itertools.permutations(range(3)):
+        permuted = a[np.ix_(order, order)]
+        assert classify_criticality(permuted) == "critical", order
+        assert is_strongly_critical(permuted), order
 
 
 def test_classify_triangular_is_exact_diagonal_readoff():

@@ -248,6 +248,16 @@ def test_leading_asymptotic_skips_zero_prefix():
     assert coeff == pytest.approx(2.0 * model.A[2, 1])
 
 
+def test_leading_asymptotic_pattern2_third_coordinate():
+    # X_3 collects a31 b_1 + a32 b_2 = 0.5 * 1 + 0.5 * 2 per binom(k, 2)
+    model = poisson_case_model(2, immigration=(1, 2, 2))
+    degree, coeff = leading_asymptotic(model, 2)
+    assert (degree, coeff) == (2, pytest.approx(1.5))
+    k = 500
+    ratio = mean_vector(model, k)[2] / (coeff * math.comb(k, degree))
+    assert 0.99 <= ratio <= 1.01
+
+
 def test_moment_growth_targets_case4():
     model = poisson_case_model(4)
     targets = moment_growth_targets(model)

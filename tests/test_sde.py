@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,16 +10,16 @@ from gwi import (
     DegenerateLawError,
     LimitSystem,
     ValidationError,
+    detect_case,
     exact_first_coordinate_law,
     kernel_representation_check,
     limit_mean_vector,
     limit_system_marginals,
     make_grid,
+    mean_polynomial,
     simulate_limit_system,
-    simulate_squared_bessel,
-    squared_bessel_marginals,
 )
-from util import poisson_case_model
+from util import besq_system, poisson_case_model
 
 
 def test_make_grid():
@@ -31,32 +33,32 @@ def test_make_grid():
 
 def test_pure_drift_is_linear():
     grid = make_grid(2.0, 0.01)
-    x = simulate_squared_bessel(3.0, 0.0, grid, seed=1, n_paths=2)
+    x = simulate_limit_system(besq_system(3.0, 0.0), grid, seed=1, n_paths=2).values[:, :, 0]
     assert np.allclose(x, 3.0 * grid[None, :])
 
 
 def test_zero_drift_from_zero_stays_zero():
     grid = make_grid(1.0, 0.01)
-    x = simulate_squared_bessel(0.0, 2.0, grid, seed=1, n_paths=5)
+    x = simulate_limit_system(besq_system(0.0, 2.0), grid, seed=1, n_paths=5).values[:, :, 0]
     assert np.all(x == 0.0)
 
 
 def test_paths_stay_nonnegative():
     grid = make_grid(1.0, 1e-2)
-    x = simulate_squared_bessel(0.05, 4.0, grid, seed=3, n_paths=200)
+    x = simulate_limit_system(besq_system(0.05, 4.0), grid, seed=3, n_paths=200).values[:, :, 0]
     assert np.all(x >= 0.0)
 
 
 def test_squared_bessel_moments_coarse():
-    vals = squared_bessel_marginals(1.0, 1.0, [1.0], 1e-3, 20_000, seed=7)[:, 0]
+    vals = limit_system_marginals(besq_system(1.0, 1.0), [1.0], 1e-3, 20_000, seed=7)[:, 0, 0]
     assert vals.mean() == pytest.approx(1.0, rel=0.05)
     assert vals.var(ddof=1) == pytest.approx(0.5, rel=0.10)
 
 
 def test_squared_bessel_determinism():
     grid = make_grid(0.5, 1e-2)
-    a = simulate_squared_bessel(1.0, 1.0, grid, seed=11, n_paths=4)
-    b = simulate_squared_bessel(1.0, 1.0, grid, seed=11, n_paths=4)
+    a = simulate_limit_system(besq_system(1.0, 1.0), grid, seed=11, n_paths=4).values
+    b = simulate_limit_system(besq_system(1.0, 1.0), grid, seed=11, n_paths=4).values
     assert np.array_equal(a, b)
 
 
@@ -67,6 +69,9 @@ def test_limit_system_sign_pattern_validation():
         LimitSystem(case=4, b=(1, 1, 1), v=(1, 1, 1), a21=0.5, a32=0.0)
     with pytest.raises(ValidationError):
         LimitSystem(case=2, b=(1, 1, 1), v=(1, 1, 1), a31=-0.1)
+    with pytest.raises(ValidationError):
+        # only a32 > 0 is pattern 2 after a coordinate swap, not pattern 2 itself
+        LimitSystem(case=2, b=(1, 1, 1), v=(1, 1, 1), a32=0.5)
     sys2 = LimitSystem(case=2, b=(1, 1, 1), v=(1, 1, 1), a31=0.5)
     assert sys2.exponents == (1, 1, 2)
 
@@ -149,6 +154,26 @@ def test_limit_mean_vector_cases():
     assert np.allclose(limit_mean_vector(sys3, 1.0), [2.0, 1.0, 0.5])
 
 
+def test_limit_mean_is_top_mean_polynomial_term():
+    # E X_{floor(n t), i} / n^(d_i) tends to coeffs[d_i - 1] t^(d_i) / d_i!,
+    # with the model's coordinates read in the normalized order
+    rng = np.random.default_rng(61)
+    models = [poisson_case_model(case, immigration=(1.0, 2.0, 2.0)) for case in (1, 2, 3, 4)]
+    for _ in range(40):
+        subdiagonals = tuple(float(rng.uniform(0.1, 3.0)) * float(rng.random() < 0.6) for _ in range(3))
+        immigration = [float(x) for x in rng.uniform(0.1, 2.0, size=3)]
+        models.append(poisson_case_model(1, immigration=immigration, subdiagonals=subdiagonals))
+    for model in models:
+        system = LimitSystem.from_model(model)
+        perm = detect_case(model.A).permutation
+        for t in (0.5, 1.0, 2.5):
+            expected = [
+                mean_polynomial(model, perm[i]).coeffs[d - 1] * t**d / math.factorial(d)
+                for i, d in enumerate(system.exponents)
+            ]
+            assert np.allclose(limit_mean_vector(system, t), expected, rtol=1e-12, atol=0.0)
+
+
 def test_limit_system_monte_carlo_means():
     system = LimitSystem(case=4, b=(1, 0.5, 0.25), v=(1, 1, 1), a21=1.0, a32=1.0)
     vals = limit_system_marginals(system, [1.0], 1e-3, 20_000, seed=23)[:, 0, :]
@@ -190,7 +215,7 @@ def test_exact_first_coordinate_law_degenerate():
 
 
 def test_gamma_reference_matches_em_sample():
-    vals = squared_bessel_marginals(1.0, 1.0, [1.0], 1e-3, 20_000, seed=29)[:, 0]
+    vals = limit_system_marginals(besq_system(1.0, 1.0), [1.0], 1e-3, 20_000, seed=29)[:, 0, 0]
     law = exact_first_coordinate_law(1.0, 1.0, 1.0)
     assert vals.mean() == pytest.approx(law.shape * law.scale, rel=0.05)
     assert vals.var(ddof=1) == pytest.approx(law.shape * law.scale**2, rel=0.10)
@@ -222,7 +247,7 @@ def test_kernel_check_linear_path_within_budget():
 def test_kernel_check_simulated_paths_within_budget():
     dt = 1e-3
     grid = make_grid(1.0, dt)
-    paths = simulate_squared_bessel(1.0, 1.0, grid, seed=31, n_paths=20)
+    paths = simulate_limit_system(besq_system(1.0, 1.0), grid, seed=31, n_paths=20).values[:, :, 0]
     for p in range(paths.shape[0]):
         res = kernel_representation_check(paths[p], grid, 1.0, 1.0, 1.0)
         budget = 5.0 * dt * max(res.path_sup, 1e-12)
@@ -242,6 +267,8 @@ def test_marginals_require_grid_alignment():
     system = LimitSystem(case=1, b=(1, 0, 0), v=(1, 0, 0))
     with pytest.raises(ValidationError):
         limit_system_marginals(system, [0.1234], 1e-2, 10, seed=0)
+    with pytest.raises(ValidationError):
+        limit_system_marginals(system, [0.5], float("nan"), 10, seed=0)
 
 
 def test_limit_system_determinism():

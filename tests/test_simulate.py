@@ -61,13 +61,13 @@ def test_trajectory_determinism_and_replica_streams():
     assert not np.array_equal(a.states, d.states)
 
 
-def test_replicas_order_is_worker_independent():
+def test_replicas_are_ordered_per_replica_streams():
     model = poisson_case_model(4)
-    serial = simulate_replicas(model, 25, seed=3, replicas=6, workers=1)
-    threaded = simulate_replicas(model, 25, seed=3, replicas=6, workers=4)
-    for a, b in zip(serial, threaded):
-        assert a.replica == b.replica
-        assert np.array_equal(a.states, b.states)
+    replicas = simulate_replicas(model, 25, seed=3, replicas=6)
+    assert [traj.replica for traj in replicas] == list(range(6))
+    for traj in replicas:
+        single = simulate_trajectory(model, 25, seed=3, replica=traj.replica)
+        assert np.array_equal(traj.states, single.states)
 
 
 def test_ensemble_matches_moments():

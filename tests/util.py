@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gwi import Deterministic, Poisson, build_model
+from gwi import Deterministic, LimitSystem, Poisson, build_model
 
 CASE_SUBDIAGONALS = {1: (0.0, 0.0, 0.0), 2: (0.0, 0.5, 0.5), 3: (0.5, 0.5, 0.0), 4: (0.5, 0.0, 0.5)}
 
@@ -22,6 +22,15 @@ def poisson_case_model(case: int, immigration=(1.0, 1.0, 1.0), subdiagonals=None
         Poisson([0.0, 0.0, 1.0]),
     ]
     return build_model(specs, Poisson(list(immigration)))
+
+
+def besq_system(b: float, v: float) -> LimitSystem:
+    """Limit system whose coordinate 0 is the squared Bessel process (b, v).
+
+    The other coordinates have b = v = 0: they stay at zero and draw nothing,
+    so coordinate 0 sees the same random stream as a lone squared Bessel path.
+    """
+    return LimitSystem(case=1, b=(b, 0.0, 0.0), v=(v, 0.0, 0.0))
 
 
 def deterministic_model(b=(2, 1, 3)):
