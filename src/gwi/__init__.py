@@ -43,6 +43,7 @@ from .moments import (
     mean_polynomial,
     mean_vector,
     moment_growth_targets,
+    moment_stream,
     unipotent_power,
     variance_matrix,
 )

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .errors import GwiError, ValidationError
-from .harness import DEFAULT_N_LIST, DEFAULT_T_POINTS, run_convergence_experiment
+from .harness import run_convergence_experiment
 from .model import classify_criticality, detect_case, is_strongly_critical, load_model
-from .moments import growth_exponents, mean_vector, moment_growth_targets, variance_matrix
+from .moments import growth_exponents, moment_growth_targets, moment_stream
 from .sde import LimitSystem, make_grid, simulate_limit_system
 from .simulate import (
     simulate_replicas,
@@ -176,11 +176,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_moments(args) -> int:
     model = load_model(args.model)
-    rows = []
-    for k in range(args.max_k + 1):
-        mean = mean_vector(model, k)
-        var_diag = np.diag(variance_matrix(model, k)) if k >= 1 else np.zeros(model.p)
-        rows.append([k, *(f"{x:.12g}" for x in mean), *(f"{x:.12g}" for x in var_diag)])
+    means, variances = moment_stream(model, args.max_k)
+    rows = [
+        [k, *(f"{x:.12g}" for x in mean), *(f"{x:.12g}" for x in np.diag(var))]
+        for k, (mean, var) in enumerate(zip(means, variances))
+    ]
     exponents = (
         moment_growth_targets(model) if model.is_lower_unipotent() else None
     )
@@ -259,30 +259,28 @@ def cmd_identities(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# converge takes its settings from the config file only; [t] is a list of t
+_CONVERGE_TYPES = dict(
+    model=str, case=int, out_dir=str, n_list=[int], t_points=[float],
+    replicas=int, sde_paths=int, seed=int, dt=float, ci_level=float,
+)
+
+
 def cmd_converge(args) -> int:
     if not args.config:
         raise ValidationError("converge requires --config")
     cfg = _load_config(args.config)
-    required = {"model", "case", "out_dir"}
-    missing = required - set(cfg)
+    unknown = set(cfg) - set(_CONVERGE_TYPES)
+    if unknown:
+        raise ValidationError(f"config has unknown keys: {sorted(unknown)}")
+    missing = {"model", "case", "out_dir"} - set(cfg)
     if missing:
         raise ValidationError(f"config missing keys: {sorted(missing)}")
-    model = load_model(cfg["model"])
-    seed = int(cfg.get("seed", args.seed))
-    report = run_convergence_experiment(
-        model,
-        int(cfg["case"]),
-        [int(n) for n in cfg.get("n_list", DEFAULT_N_LIST)],
-        int(cfg.get("replicas", 2000)),
-        [float(t) for t in cfg.get("t_points", DEFAULT_T_POINTS)],
-        int(cfg.get("sde_paths", 2000)),
-        seed,
-        dt=float(cfg.get("dt", 1e-3)),
-        ci_level=float(cfg.get("ci_level", 0.95)),
-    )
-    out_dir = Path(cfg["out_dir"])
+    cfg = {key: _typed(key, value, _CONVERGE_TYPES[key]) for key, value in cfg.items()}
+    args.seed = cfg.setdefault("seed", args.seed)
+    out_dir = Path(cfg.pop("out_dir"))
+    report = run_convergence_experiment(load_model(cfg.pop("model")), **cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    args.seed = seed
     _write_json(
         str(out_dir / "report.json"),
         {"provenance": _provenance(args, timestamp=True), **report.to_dict()},
@@ -303,9 +301,27 @@ def cmd_converge(args) -> int:
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} must hold a JSON object")
+    return cfg
+
+
+def _typed(key: str, value, convert, choices=None):
+    """A config value converted as if typed after its flag; [convert] maps a list."""
+    if isinstance(convert, list):
+        if not isinstance(value, list):
+            raise ValidationError(f"config key {key!r} must be a list, not {value!r}")
+        return [_typed(key, item, convert[0]) for item in value]
+    try:
+        typed = convert(str(value)) if isinstance(value, (str, int, float)) else None
+    except (ValueError, argparse.ArgumentTypeError):
+        typed = None
+    if typed is None or (choices is not None and typed not in choices):
+        raise ValidationError(f"config key {key!r} has invalid value {value!r}")
+    return typed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,21 +385,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if not args.config or args.command == "converge":
         return
-    cfg = _load_config(args.config)
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+    # argparse keeps a parser's flags only in its private _actions list
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[args.command]._actions if a.option_strings}
+    for key, value in _load_config(args.config).items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None or action.dest == "help":
             raise ValidationError(f"config key {key!r} is not a flag of {args.command}")
-        setattr(args, dest, value)
+        if action.nargs != 0:
+            value = _typed(key, value, action.type or str, action.choices)
+        elif not isinstance(value, bool):  # a switch such as --split-files
+            raise ValidationError(f"config key {key!r} must be true or false, not {value!r}")
+        setattr(args, action.dest, value)
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args)
+    _apply_config(parser, args)
     return args.func(args)
 
 

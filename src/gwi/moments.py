@@ -1,21 +1,29 @@
-"""Exact moment engine for lower-unipotent mean matrices.
+"""Exact moment engine.
+
+Every mean and variance comes from one exact one-step recursion (Quine 1970,
+J. Appl. Probab.) for the process started at X_0 = 0:
+
+    E X_k   = A E X_{k-1} + b,
+    var X_k = A var X_{k-1} A^T + V^(0) + sum_i E X_{k-1, i} V^(i),
+
+which holds for every mean matrix A.  :func:`moment_stream` runs it once up to
+a horizon K; :func:`mean_vector` and :func:`variance_matrix` read one row.
 
 For a lower triangular A with unit diagonal the nilpotent part C = A - I
 satisfies C^p = 0, so every power of A is the finite binomial sum
-``A^k = sum_m binom(k, m) C^m``.  Everything here flows from that identity:
-the mean E X_k is a polynomial in k in the binomial basis, the growth
-exponent of coordinate i is read off the positivity pattern of the powers of
-C, and the leading asymptotic term is the top nonzero coefficient of the mean
-polynomial.
-
-Binomial coefficients are exact Python integers; integer-valued matrices are
-computed in exact integer arithmetic, float matrices in float64.
+``A^k = sum_m binom(k, m) C^m``.  This closed form gives the mean polynomial
+in the binomial basis, the growth exponent of coordinate i (read off the
+positivity pattern of the powers of C) and the leading asymptotic term (the
+top nonzero coefficient of the mean polynomial).  Binomial coefficients are
+exact Python integers; integer-valued matrices are computed in exact integer
+arithmetic, float matrices in float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Real
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .model import GwiModel, ZERO_TOL
 __all__ = [
     "UnipotentMatrix",
     "unipotent_power",
+    "moment_stream",
     "mean_vector",
     "MeanPolynomial",
     "mean_polynomial",
@@ -84,16 +93,6 @@ class UnipotentMatrix:
             total = total + comb(k, m) * self.c_powers[m]
         return total
 
-    def power_sum(self, k: int) -> np.ndarray:
-        """sum_{l=0}^{k-1} A^l = sum_m binom(k, m+1) (A - I)^m (hockey-stick)."""
-        if k < 0 or k != int(k):
-            raise ValidationError("k must be a nonnegative integer")
-        k = int(k)
-        total = comb(k, 1) * self.c_powers[0]
-        for m in range(1, self.p):
-            total = total + comb(k, m + 1) * self.c_powers[m]
-        return total
-
 
 def unipotent_power(a, k: int) -> np.ndarray:
     """k-th power of a lower-unipotent matrix via the binomial expansion."""
@@ -102,23 +101,22 @@ def unipotent_power(a, k: int) -> np.ndarray:
     return UnipotentMatrix(a).power(k)
 
 
-def mean_vector(model: GwiModel, k: int) -> np.ndarray:
-    """E X_k = sum_{j=0}^{k-1} A^j b for the process started at zero.
+def moment_stream(model: GwiModel, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E X_k, var X_k) for k = 0..K, shapes (K+1, p) and (K+1, p, p), X_0 = 0."""
+    if not isinstance(K, Real) or K < 0 or K % 1 != 0:
+        raise ValidationError(f"K must be a nonnegative integer, not {K!r}")
+    K = int(K)
+    mean = np.zeros((K + 1, model.p))
+    var = np.zeros((K + 1, model.p, model.p))
+    for k in range(1, K + 1):
+        mean[k] = model.A @ mean[k - 1] + model.b
+        var[k] = model.A @ var[k - 1] @ model.A.T + conditional_covariance(model, mean[k - 1])
+    return mean, var
 
-    Uses the closed unipotent form when A is lower-unipotent, otherwise the
-    plain recursion E X_k = A E X_{k-1} + b.
-    """
-    if k < 0 or k != int(k):
-        raise ValidationError("k must be a nonnegative integer")
-    k = int(k)
-    if model.is_lower_unipotent():
-        return np.asarray(
-            UnipotentMatrix(model.A).power_sum(k) @ model.b, dtype=float
-        )
-    out = np.zeros(model.p)
-    for _ in range(k):
-        out = model.A @ out + model.b
-    return out
+
+def mean_vector(model: GwiModel, k: int) -> np.ndarray:
+    """E X_k = sum_{j=0}^{k-1} A^j b for the process started at zero."""
+    return moment_stream(model, k)[0][k]
 
 
 @dataclass(frozen=True)
@@ -175,20 +173,7 @@ def variance_matrix(model: GwiModel, k: int) -> np.ndarray:
     """var(X_k) = sum_{j=0}^{k-1} A^j E(M_{k-j} M_{k-j}^T) (A^T)^j, k >= 1."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    k = int(k)
-    unipotent = model.is_lower_unipotent()
-    uni = UnipotentMatrix(model.A) if unipotent else None
-    total = np.zeros((model.p, model.p))
-    a_power = np.eye(model.p)
-    for j in range(k):
-        mid = martingale_second_moment(model, k - j)
-        total += a_power @ mid @ a_power.T
-        if j + 1 < k:
-            if unipotent:
-                a_power = np.asarray(uni.power(j + 1), dtype=float)
-            else:
-                a_power = model.A @ a_power
-    return total
+    return moment_stream(model, k)[1][k]
 
 
 @dataclass(frozen=True)

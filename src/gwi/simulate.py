@@ -291,14 +291,10 @@ def decomposition_components(
     )
 
 
-def _panel_points(end: Fraction, n: int):
-    """Panels [m/n, (m+1)/n) covering [0, end), clipped at end, as (m, width)."""
-    m = 0
-    while Fraction(m, n) < end:
-        left = Fraction(m, n)
-        right = min(Fraction(m + 1, n), end)
-        yield m, right - left
-        m += 1
+def _panel_points(count: int, n: int):
+    """The panels [m/n, (m+1)/n) covering [0, count/n), as (m, width)."""
+    width = Fraction(1, n)
+    return ((m, width) for m in range(count))
 
 
 def weighted_sum_identity_1(f: Callable[[int], float], k: int, n: int):
@@ -312,7 +308,7 @@ def weighted_sum_identity_1(f: Callable[[int], float], k: int, n: int):
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
     lhs = sum(f(l) for l in range(k + 1))
-    rhs = sum(f(m) * width for m, width in _panel_points(Fraction(k + 1, n), n)) * n
+    rhs = sum(f(m) * width for m, width in _panel_points(k + 1, n)) * n
     return lhs, rhs
 
 
@@ -327,7 +323,7 @@ def weighted_sum_identity_2(f: Callable[[int], float], k: int, n: int):
         raise ValidationError("k and n must be >= 1")
     lhs = sum((k - l) * f(l) for l in range(1, k + 1))
     running = _running_sums(f, k)
-    rhs = sum(running[m] * width for m, width in _panel_points(Fraction(k, n), n)) * n
+    rhs = sum(running[m] * width for m, width in _panel_points(k, n)) * n
     return lhs, rhs
 
 
@@ -343,22 +339,12 @@ def weighted_sum_identity_3(f: Callable[[int], float], k: int, n: int):
         raise ValidationError("k and n must be >= 1")
     lhs = sum(comb(k - l, 2) * f(l) for l in range(1, k + 1))
     running = _running_sums(f, k)
-    inner_cache: dict[int, Fraction] = {}
-
-    def inner(m: int):
-        # integral_0^{m/n} F(floor(n s)) ds as an exact panel sum
-        if m not in inner_cache:
-            inner_cache[m] = sum(
-                (running[h] * width for h, width in _panel_points(Fraction(m, n), n)),
-                start=Fraction(0),
-            )
-        return inner_cache[m]
-
-    rhs = sum(
-        (inner(m) * width for m, width in _panel_points(Fraction(k, n), n)),
-        start=Fraction(0),
-    ) * n**2
-    return lhs, rhs
+    inner = Fraction(0)  # integral_0^{m/n} F(floor(n s)) ds, one panel at a time
+    rhs = Fraction(0)
+    for m, width in _panel_points(k, n):
+        rhs += inner * width
+        inner += running[m] * width
+    return lhs, rhs * n**2
 
 
 def _running_sums(f: Callable[[int], float], k: int) -> list:

@@ -285,3 +285,56 @@ def test_unknown_config_key_rejected(tmp_path, identity_model_path):
     cfg_path = tmp_path / "cli.json"
     cfg_path.write_text(json.dumps({"bogus": 1}))
     assert main(["--config", str(cfg_path), "classify", "--model", identity_model_path]) == 2
+
+
+def test_moments_rejects_negative_max_k(tmp_path, case4_model_path, capsys):
+    out = tmp_path / "moments.csv"
+    assert main(["moments", "--model", case4_model_path, "--max-k", "-3", "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_config_values_convert_like_typed_flags(tmp_path, case4_model_path):
+    cfg_path = tmp_path / "cli.json"
+    for command, flag, value in (("simulate", "steps", "5"), ("moments", "max_k", "4")):
+        extra = ["--steps", "1"] if command == "simulate" else []
+        typed, configured = tmp_path / f"{command}_typed.csv", tmp_path / f"{command}_cfg.csv"
+        base = [command, "--model", case4_model_path]
+        assert main(base + [f"--{flag.replace('_', '-')}", value, "--out", str(typed)]) == 0
+        cfg_path.write_text(json.dumps({flag: value}))
+        assert main(["--config", str(cfg_path), *base, *extra, "--out", str(configured)]) == 0
+        assert configured.read_bytes() == typed.read_bytes()
+
+
+def test_config_values_of_the_wrong_type_exit_2(tmp_path, case4_model_path, capsys):
+    cfg_path = tmp_path / "cli.json"
+    for cfg in (
+        {"steps": "five"},
+        {"steps": [5]},
+        {"steps": 5.5},
+        {"steps": None},
+        {"steps": 5, "format": "xml"},
+        {"steps": 5, "split_files": "yes"},
+        {"steps": 5, "threads": 0},
+    ):
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["--config", str(cfg_path), "simulate", "--model", case4_model_path, "--steps", "1"]
+        assert main(argv) == 2, cfg
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, cfg
+
+
+def test_converge_config_rejects_unknown_keys_and_wrong_types(tmp_path, case4_model_path, capsys):
+    cfg_path = tmp_path / "converge.json"
+    base = {"model": case4_model_path, "case": 4, "out_dir": str(tmp_path / "exp")}
+    for extra in (
+        {"replica": 1000},
+        {"n_list": 5},
+        {"n_list": ["many"]},
+        {"t_points": "1.0"},
+        {"replicas": "many"},
+        {"case": [4]},
+    ):
+        cfg_path.write_text(json.dumps({**base, **extra}))
+        assert main(["converge", "--config", str(cfg_path)]) == 2, extra
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, extra
+    assert not (tmp_path / "exp").exists()

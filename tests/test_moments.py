@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwi import (
     Poisson,
     UnipotentMatrix,
     ValidationError,
     build_model,
+    classify_criticality,
     conditional_covariance,
     growth_exponents,
     leading_asymptotic,
@@ -17,6 +20,7 @@ from gwi import (
     mean_polynomial,
     mean_vector,
     moment_growth_targets,
+    moment_stream,
     simulate_ensemble,
     unipotent_power,
     variance_matrix,
@@ -285,3 +289,64 @@ def test_log_log_slope_of_exact_mean_matches_eta():
         for i in range(3):
             slope = np.polyfit(np.log(ks), np.log(means[:, i]), 1)[0]
             assert abs(slope - degrees[i]) <= 0.1
+
+
+def test_moment_stream_rows_and_validation():
+    model = poisson_case_model(4)
+    mean, var = moment_stream(model, 5)
+    assert mean.shape == (6, 3) and var.shape == (6, 3, 3)
+    assert np.all(mean[0] == 0.0) and np.all(var[0] == 0.0)
+    assert np.array_equal(mean[5], mean_vector(model, 5))
+    assert np.array_equal(var[5], variance_matrix(model, 5))
+    assert moment_stream(model, 0)[0].shape == (1, 3)
+    for bad in (-1, 2.5, "3", None, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            moment_stream(model, bad)
+
+
+@st.composite
+def unipotent_poisson_models(draw):
+    """Lower-unipotent mean matrix with Poisson columns, and Poisson immigration."""
+    p = draw(st.integers(2, 6))
+    rate = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+    a = np.eye(p)
+    for i in range(p):
+        for j in range(i):
+            a[i, j] = draw(rate)
+    b = [draw(rate) for _ in range(p)]
+    return build_model([Poisson(a[:, j]) for j in range(p)], Poisson(b))
+
+
+# every term is a sum of products of nonnegative numbers, so the orders of
+# summation differ only by a few float64 round-offs per step
+_RTOL = 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=unipotent_poisson_models(), k=st.integers(1, 40))
+def test_moment_stream_mean_matches_binomial_form_and_matrix_powers(model, k):
+    mean = moment_stream(model, k)[0]
+    polys = [mean_polynomial(model, i) for i in range(model.p)]
+    power_sum = sum(np.linalg.matrix_power(model.A, j) for j in range(k)) @ model.b
+    assert np.allclose(mean[k], [poly(k) for poly in polys], rtol=_RTOL, atol=0.0)
+    assert np.allclose(mean[k], power_sum, rtol=_RTOL, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=unipotent_poisson_models(), k=st.integers(1, 30))
+def test_moment_stream_variance_matches_convolution(model, k):
+    # var X_k = sum_j A^j E(M_{k-j} M_{k-j}^T) (A^T)^j with E X from the binomial form
+    polys = [mean_polynomial(model, i) for i in range(model.p)]
+    expected = np.zeros((model.p, model.p))
+    for j in range(k):
+        a_power = np.asarray(unipotent_power(model.A, j), dtype=float) if j else np.eye(model.p)
+        prev_mean = [poly(k - j - 1) for poly in polys]
+        expected += a_power @ conditional_covariance(model, prev_mean) @ a_power.T
+    assert np.allclose(moment_stream(model, k)[1][k], expected, rtol=_RTOL, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=unipotent_poisson_models(), data=st.data())
+def test_criticality_survives_type_permutations(model, data):
+    perm = data.draw(st.permutations(range(model.p)))
+    assert classify_criticality(model.A[np.ix_(perm, perm)]) == "critical"
