@@ -56,6 +56,7 @@ from .simulate import (
     simulate_replicas,
     simulate_trajectory,
     step_ensemble,
+    stream_ensemble,
     weighted_sum_identity_1,
     weighted_sum_identity_2,
     weighted_sum_identity_3,

@@ -229,6 +229,8 @@ def cmd_sde(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.max_k < 1 or args.trials < 1:
+        raise ValidationError("identities needs --max-k >= 1 and --trials >= 1")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for _ in range(args.trials):

@@ -10,7 +10,7 @@ martingale moment bounds on dyadic ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .sde import (
     limit_mean_vector,
     limit_system_marginals,
 )
-from .simulate import simulate_ensemble
+from .simulate import simulate_ensemble, stream_ensemble
 
 __all__ = [
     "ScaledStepProcess",
@@ -163,43 +163,14 @@ class ConvergenceReport:
         raise KeyError((n, t, coordinate))
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "permutation": list(self.permutation),
-            "n_list": list(self.n_list),
-            "t_points": list(self.t_points),
-            "replicas": self.replicas,
-            "sde_paths": self.sde_paths,
-            "dt": self.dt,
-            "seed": self.seed,
-            "ci_level": self.ci_level,
-            "entries": [vars(e).copy() for e in self.entries],
-            "trends": [dict(tr) for tr in self.trends],
-        }
+        return asdict(self)
 
-    CSV_FIELDS = (
-        "n",
-        "t",
-        "coordinate",
-        "replicas",
-        "mean",
-        "variance",
-        "ci_low",
-        "ci_high",
-        "exact_scaled_mean",
-        "limit_mean",
-        "sde_mean",
-        "ks_stat",
-        "ks_pvalue",
-        "wasserstein",
-        "gamma_ks_stat",
-        "gamma_ks_pvalue",
-    )
+    CSV_FIELDS = tuple(f.name for f in fields(MarginalStats))
 
     def rows(self):
         """Flat per-(n, t, coordinate) rows matching CSV_FIELDS."""
         for e in self.entries:
-            yield [getattr(e, name) for name in self.CSV_FIELDS]
+            yield list(astuple(e))
 
 
 def _ci_halfwidth(variance: float, count: int, level: float) -> float:
@@ -430,50 +401,39 @@ def _sup_sum_estimate(
 ) -> np.ndarray:
     """Mean over replicas of sup_{k<=n} S_k^2 (or W_k^2), streaming."""
     a_t = model.A.T
-    prev = {}
-    acc = {
-        "sum": np.zeros((replicas, model.p)),
-        "weighted": np.zeros((replicas, model.p)),
-        "best": np.zeros((replicas, model.p)),
-    }
-
-    def reducer(k: int, states: np.ndarray) -> None:
-        if k == 0:
-            prev["states"] = states.astype(float)
-            return
-        innov = states.astype(float) - prev["states"] @ a_t  # M_k + b
-        if weighted:
-            acc["weighted"] += acc["sum"]
-            acc["best"] = np.maximum(acc["best"], acc["weighted"] ** 2)
-            acc["sum"] += innov
-        else:
-            acc["sum"] += innov
-            acc["best"] = np.maximum(acc["best"], acc["sum"] ** 2)
-        prev["states"] = states.astype(float)
-
+    running = np.zeros((replicas, model.p))
+    weighted_sum = np.zeros((replicas, model.p))
+    best = np.zeros((replicas, model.p))
     child = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
-    simulate_ensemble(model, n, replicas, child, reducer=reducer)
-    return np.mean(acc["best"], axis=0)
+    stream = stream_ensemble(model, n, replicas, child)
+    prev = next(stream).astype(float)
+    for states in stream:
+        current = states.astype(float)
+        innov = current - prev @ a_t  # M_k + b
+        if weighted:
+            weighted_sum += running
+            best = np.maximum(best, weighted_sum**2)
+            running += innov
+        else:
+            running += innov
+            best = np.maximum(best, running**2)
+        prev = current
+    return np.mean(best, axis=0)
 
 
 def _fourth_moment_estimates(
     model: GwiModel, k_list: list[int], replicas: int, seed: int
 ) -> np.ndarray:
     """E M_k^4 per coordinate at each k in k_list, one streaming pass."""
-    wanted = set(k_list)
     a_t = model.A.T
-    prev = {}
     results: dict[int, np.ndarray] = {}
-
-    def reducer(k: int, states: np.ndarray) -> None:
-        if k == 0:
-            prev["states"] = states.astype(float)
-            return
-        if k in wanted:
-            m = states.astype(float) - prev["states"] @ a_t - model.b
-            results[k] = np.mean(m**4, axis=0)
-        prev["states"] = states.astype(float)
-
     child = np.random.SeedSequence(entropy=seed, spawn_key=(max(k_list),))
-    simulate_ensemble(model, max(k_list), replicas, child, reducer=reducer)
+    stream = stream_ensemble(model, max(k_list), replicas, child)
+    prev = next(stream).astype(float)
+    for k, states in enumerate(stream, start=1):
+        current = states.astype(float)
+        if k in k_list:
+            m = current - prev @ a_t - model.b
+            results[k] = np.mean(m**4, axis=0)
+        prev = current
     return np.stack([results[k] for k in k_list])

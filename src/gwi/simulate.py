@@ -5,13 +5,15 @@ every individual of each type plus one immigration vector:
 
     X_k = sum_i sum_{j <= X_{k-1, i}} xi_{k, j, i} + eps_k.
 
-Two simulation paths are provided.  :func:`simulate_trajectory` gives each
-trajectory its own generator keyed by ``(seed, replica)``, so each replica
-depends only on its seeds and not on which other replicas run.
-:func:`simulate_ensemble` advances many replicas in lock-step from a single
-generator with vectorized draws, the fast path for large Monte Carlo
-estimates; it is deterministic given its seed and indifferent to threading
-because it never threads.
+One kernel runs it: :func:`stream_ensemble` advances a batch of replicas in
+lock-step from one generator and yields X_0, ..., X_steps.  Everything else
+reads that stream under one of two seeding schemes.  Per-replica keys:
+:func:`simulate_trajectory` streams one replica from the seed sequence
+``(seed, spawn_key=(replica,))``, so each replica depends only on its seeds
+and not on which other replicas run.  One ensemble stream:
+:func:`simulate_ensemble` records chosen generations of many replicas drawn
+from a single generator with vectorized draws, the fast path for large Monte
+Carlo estimates.  Both are deterministic given their seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,10 +30,10 @@ from .model import GwiModel
 
 __all__ = [
     "Trajectory",
-    "trajectory_rng",
     "simulate_trajectory",
     "simulate_replicas",
     "step_ensemble",
+    "stream_ensemble",
     "simulate_ensemble",
     "martingale_increments",
     "DecompositionComponents",
@@ -64,11 +66,6 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def trajectory_rng(seed: int, replica: int = 0) -> np.random.Generator:
-    """The generator owned by one trajectory, keyed by (seed, replica)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
-
-
 def _check_initial(model: GwiModel, initial) -> np.ndarray:
     if initial is None:
         return np.zeros(model.p, dtype=np.int64)
@@ -85,22 +82,16 @@ def simulate_trajectory(
     *,
     replica: int = 0,
     initial=None,
-    exact_sums: bool = True,
 ) -> Trajectory:
     """Simulate X_0..X_steps; deterministic given (model, steps, seed, replica).
 
-    Raises :class:`OverflowGuardError` once a coordinate exceeds 2**53, the
-    largest population whose offspring sums are still drawn exactly.
+    The trajectory is the one-replica :func:`stream_ensemble` seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(replica,))``.  Raises
+    :class:`OverflowGuardError` once a coordinate exceeds 2**53, the largest
+    population whose offspring sums are still drawn exactly.
     """
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
-    rng = trajectory_rng(seed, replica)
-    states = np.zeros((steps + 1, model.p), dtype=np.int64)
-    states[0] = _check_initial(model, initial)
-    current = states[0][None, :]
-    for k in range(1, steps + 1):
-        current = step_ensemble(model, current, rng, exact_sums=exact_sums)
-        states[k] = current[0]
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(replica,))
+    states = np.concatenate(list(stream_ensemble(model, steps, 1, key, initial=initial)))
     states.setflags(write=False)
     return Trajectory(states=states, seed=seed, replica=replica, model=model)
 
@@ -112,7 +103,6 @@ def simulate_replicas(
     replicas: int,
     *,
     initial=None,
-    exact_sums: bool = True,
 ) -> list[Trajectory]:
     """Independent trajectories for replica indices 0..replicas-1, in order.
 
@@ -122,20 +112,12 @@ def simulate_replicas(
     if replicas < 1:
         raise ValidationError("replicas must be >= 1")
     return [
-        simulate_trajectory(
-            model, steps, seed, replica=r, initial=initial, exact_sums=exact_sums
-        )
+        simulate_trajectory(model, steps, seed, replica=r, initial=initial)
         for r in range(replicas)
     ]
 
 
-def step_ensemble(
-    model: GwiModel,
-    states: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    exact_sums: bool = True,
-) -> np.ndarray:
+def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One generation for a batch of replicas, shape (replicas, p) -> same.
 
     Draw order is fixed (types in order, then immigration) so results are
@@ -148,11 +130,43 @@ def step_ensemble(
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
     nxt = np.zeros_like(states)
     for i, spec in enumerate(model.offspring):
-        nxt += spec.sample_sum(states[:, i], rng, exact_sums=exact_sums)
+        nxt += spec.sample_sum(states[:, i], rng)
     nxt += model.immigration.sample(states.shape[0], rng)
     if np.any(nxt < 0) or np.any(nxt > _OVERFLOW_LIMIT - 1):
         raise OverflowGuardError(f"population coordinate exceeded {_OVERFLOW_LIMIT}")
     return nxt
+
+
+def stream_ensemble(
+    model: GwiModel,
+    steps: int,
+    replicas: int,
+    seed: int | np.random.SeedSequence,
+    *,
+    initial=None,
+) -> Iterator[np.ndarray]:
+    """Yield X_0, ..., X_steps of ``replicas`` lock-step replicas, each (replicas, p).
+
+    All draws come from one ``np.random.default_rng(seed)``; every replica
+    starts at ``initial`` (default zero).  Arguments are checked when this is
+    called, before the first generation is drawn.  Each yielded array is new,
+    and the next generation is drawn from it, so read it but do not modify it.
+    """
+    if steps < 0:
+        raise ValidationError("steps must be >= 0")
+    if replicas < 1:
+        raise ValidationError("replicas must be >= 1")
+    state = np.tile(_check_initial(model, initial), (replicas, 1))
+    return _generations(model, steps, state, np.random.default_rng(seed))
+
+
+def _generations(
+    model: GwiModel, steps: int, state: np.ndarray, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    yield state
+    for _ in range(steps):
+        state = step_ensemble(model, state, rng)
+        yield state
 
 
 def simulate_ensemble(
@@ -163,39 +177,21 @@ def simulate_ensemble(
     *,
     record_at: Sequence[int] | None = None,
     initial=None,
-    reducer: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Vectorized lock-step simulation of many replicas from one generator.
 
     Returns states of shape (replicas, len(record_at), p) recorded at the
-    requested generation indices (default: all of 0..steps).  When ``reducer``
-    is given it is called as ``reducer(k, states)`` after every step instead,
-    nothing is stored, and None is returned; this is the streaming mode for
-    long-horizon moment estimation.
+    requested generation indices (default: all of 0..steps), copied out of
+    :func:`stream_ensemble`.  To reduce every generation without storing it,
+    iterate :func:`stream_ensemble` directly.
     """
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
-    if replicas < 1:
-        raise ValidationError("replicas must be >= 1")
-    rng = np.random.default_rng(seed)
-    state = np.tile(_check_initial(model, initial), (replicas, 1))
-
-    if reducer is not None:
-        reducer(0, state)
-        for k in range(1, steps + 1):
-            state = step_ensemble(model, state, rng)
-            reducer(k, state)
-        return None
-
+    stream = stream_ensemble(model, steps, replicas, seed, initial=initial)
     record = sorted(set(int(k) for k in (record_at if record_at is not None else range(steps + 1))))
     if record and (record[0] < 0 or record[-1] > steps):
         raise ValidationError("record_at indices must lie in 0..steps")
     out = np.zeros((replicas, len(record), model.p), dtype=np.int64)
     positions = {k: idx for idx, k in enumerate(record)}
-    if 0 in positions:
-        out[:, positions[0], :] = state
-    for k in range(1, steps + 1):
-        state = step_ensemble(model, state, rng)
+    for k, state in enumerate(stream):
         if k in positions:
             out[:, positions[k], :] = state
     return out

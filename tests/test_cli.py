@@ -242,6 +242,16 @@ def test_identities_subcommand(capsys):
     assert "0 failures" in out
 
 
+def test_identities_rejects_nonpositive_counts(tmp_path, capsys):
+    out = tmp_path / "identities.json"
+    for flags in (["--max-k", "0", "--trials", "2"], ["--trials", "-1"], ["--trials", "0"]):
+        assert main(["identities", *flags, "--out", str(out)]) == 2, flags
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_converge_subcommand(tmp_path, case4_model_path):
     cfg = {
         "model": case4_model_path,

@@ -196,6 +196,17 @@ def test_growth_fit_sup_sum_single_type():
     assert result.slopes[0] == pytest.approx(2.0, abs=0.4)
 
 
+def test_growth_fit_sup_sums_of_deterministic_model_are_exact():
+    # X_k = k b, so S_k = k b and W_k = b k(k-1)/2; the sups sit at k = n
+    b = np.array([2.0, 1.0, 3.0])
+    sizes = [1, 3, 8, 20]
+    n = np.array(sizes, dtype=float)[:, None]
+    plain = growth_fit(deterministic_model(), "sup_sum_sq", sizes, 4, seed=0)
+    assert np.array_equal(plain.estimates, (n * b) ** 2)
+    weighted = growth_fit(deterministic_model(), "weighted_sup_sum_sq", sizes, 4, seed=0)
+    assert np.array_equal(weighted.estimates, (b * n * (n - 1) / 2) ** 2)
+
+
 def test_growth_fit_rejects_unknown_quantity():
     with pytest.raises(ValidationError):
         growth_fit(single_type_poisson(), "sixth_moment", [8], 100, seed=0)

@@ -20,6 +20,8 @@ from gwi import (
     simulate_ensemble,
     simulate_replicas,
     simulate_trajectory,
+    step_ensemble,
+    stream_ensemble,
     weighted_sum_identity_1,
     weighted_sum_identity_2,
     weighted_sum_identity_3,
@@ -81,15 +83,34 @@ def test_ensemble_matches_moments():
 
 def test_ensemble_reducer_streaming_matches_recorded():
     model = poisson_case_model(2)
-    seen = {}
-
-    def reducer(k, states):
-        seen[k] = states.copy()
-
-    simulate_ensemble(model, 5, 11, seed=4, reducer=reducer)
+    seen = {k: states.copy() for k, states in enumerate(stream_ensemble(model, 5, 11, seed=4))}
     recorded = simulate_ensemble(model, 5, 11, seed=4)
     for k in range(6):
         assert np.array_equal(seen[k], recorded[:, k, :])
+
+
+def test_trajectory_is_the_per_replica_keyed_stream():
+    model = poisson_case_model(4)
+    for seed, replica in ((3, 0), (3, 2), (11, 5)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
+        state = np.zeros((1, 3), dtype=np.int64)
+        expected = [state[0]]
+        for _ in range(25):
+            state = step_ensemble(model, state, rng)
+            expected.append(state[0])
+        traj = simulate_trajectory(model, 25, seed, replica=replica)
+        assert np.array_equal(traj.states, np.stack(expected))
+        assert not traj.states.flags.writeable
+
+
+def test_stream_ensemble_checks_arguments_at_the_call():
+    model = poisson_case_model(1)
+    for steps, replicas, initial in ((-1, 1, None), (3, 0, None), (3, 2, [1, -1, 0])):
+        with pytest.raises(ValidationError):
+            stream_ensemble(model, steps, replicas, 0, initial=initial)
+    states = list(stream_ensemble(model, 3, 2, 0, initial=[1, 2, 3]))
+    assert len(states) == 4 and all(s.shape == (2, 3) for s in states)
+    assert np.array_equal(states[0], [[1, 2, 3], [1, 2, 3]])
 
 
 def test_nonzero_initial_state():
