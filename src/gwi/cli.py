@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -69,7 +70,8 @@ def _open_out(path: str | None):
     return open(path, "w", newline=""), True
 
 
-def _write_csv(path, provenance: dict, fieldnames, rows, extra_comments=()) -> None:
+def _write_csv(path, provenance: dict, fieldnames, body, extra_comments=()) -> None:
+    """Provenance comments, the header row, then ``body``: blocks of rendered CSV lines."""
     handle, close = _open_out(path)
     try:
         for key in ("version", "seed", "config_sha256"):
@@ -78,11 +80,33 @@ def _write_csv(path, provenance: dict, fieldnames, rows, extra_comments=()) -> N
             handle.write(f"# {line}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        handle.writelines(body)
     finally:
         if close:
             handle.close()
+
+
+def _csv_rows(rows) -> list[str]:
+    """Mixed-type rows rendered by ``csv.writer`` as one block, None as an empty cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow(["" if v is None else v for v in row])
+    return [buffer.getvalue()]
+
+
+def _numeric_rows(lead: str, keys: list[str], values: np.ndarray, cell: str) -> str:
+    """One line per row of ``values``: ``lead``, its key, its numbers as ``cell``.
+
+    ``lead`` and the keys are rendered numbers, so they hold no ``%``; the
+    values go through a single %-format over the row template repeated once
+    per row.  ``%d`` of an int and ``%.12g``
+    of a float print what ``csv.writer`` prints for the int and for the
+    string ``f"{x:.12g}"``.
+    """
+    row = f",{cell}" * values.shape[1]
+    template = lead + f"{row}\n{lead}".join(keys) + f"{row}\n"
+    return template % tuple(values.ravel().tolist())
 
 
 def _write_json(path, payload: dict) -> None:
@@ -133,13 +157,13 @@ def cmd_classify(args) -> int:
                 args.out,
                 _provenance(args),
                 ["case", "permutation", "growth_degrees", "criticality", "strongly_critical"],
-                [[
+                _csv_rows([[
                     record["case"],
                     " ".join(map(str, record["permutation"])),
                     " ".join(map(str, record["growth_degrees"])),
                     record["criticality"],
                     record["strongly_critical"],
-                ]],
+                ]]),
             )
     return 0
 
@@ -149,28 +173,26 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     trajectories = simulate_replicas(model, args.steps, args.seed, args.replicas)
     header = [f"X_{i + 1}" for i in range(model.p)]
+    generations = [str(k) for k in range(args.steps + 1)]
     if args.split_files:
         if not args.out:
             raise ValidationError("--split-files requires --out")
         base = Path(args.out)
         base.mkdir(parents=True, exist_ok=True)
         for traj in trajectories:
-            rows = [[k, *traj.states[k]] for k in range(traj.steps + 1)]
             _write_csv(
                 str(base / f"replica_{traj.replica:05d}.csv"),
                 _provenance(args),
                 ["k", *header],
-                rows,
+                [_numeric_rows("", generations, traj.states, "%d")],
                 extra_comments=[f"replica={traj.replica}"],
             )
         print(f"wrote {len(trajectories)} trajectory files to {base}")
         return 0
-    rows = [
-        [traj.replica, k, *traj.states[k]]
-        for traj in trajectories
-        for k in range(traj.steps + 1)
-    ]
-    _write_csv(args.out, _provenance(args), ["replica", "k", *header], rows)
+    body = (
+        _numeric_rows(f"{traj.replica},", generations, traj.states, "%d") for traj in trajectories
+    )
+    _write_csv(args.out, _provenance(args), ["replica", "k", *header], body)
     return 0
 
 
@@ -203,7 +225,7 @@ def cmd_moments(args) -> int:
         comments = []
         if exponents is not None:
             comments.append(f"exponents={json.dumps(exponents, sort_keys=True)}")
-        _write_csv(args.out, _provenance(args), fields, rows, extra_comments=comments)
+        _write_csv(args.out, _provenance(args), fields, _csv_rows(rows), extra_comments=comments)
     return 0
 
 
@@ -219,12 +241,9 @@ def cmd_sde(args) -> int:
     )
     grid = make_grid(args.horizon, args.dt)
     path = simulate_limit_system(system, grid, args.seed, n_paths=args.paths)
-    rows = (
-        [p, f"{grid[m]:.12g}", *(f"{x:.12g}" for x in path.values[p, m])]
-        for p in range(args.paths)
-        for m in range(grid.size)
-    )
-    _write_csv(args.out, _provenance(args), ["path", "t", "X1", "X2", "X3"], rows)
+    times = [f"{t:.12g}" for t in grid.tolist()]
+    body = (_numeric_rows(f"{p},", times, values, "%.12g") for p, values in enumerate(path.values))
+    _write_csv(args.out, _provenance(args), ["path", "t", "X1", "X2", "X3"], body)
     return 0
 
 
@@ -291,7 +310,7 @@ def cmd_converge(args) -> int:
         str(out_dir / "report.csv"),
         _provenance(args),
         list(report.CSV_FIELDS),
-        report.rows(),
+        _csv_rows(report.rows()),
     )
     improved = sum(1 for tr in report.trends if tr["improved"])
     print(

@@ -154,10 +154,10 @@ class Poisson(DistributionSpec):
         return np.diag(self.lam)
 
     def sample(self, count, rng):
-        return rng.poisson(self.lam, size=(count, self.dim)).astype(np.int64)
+        return rng.poisson(self.lam, size=(count, self.dim)).astype(np.int64, copy=False)
 
     def _sum_closed_form(self, counts, rng):
-        return rng.poisson(counts[:, None] * self.lam[None, :]).astype(np.int64)
+        return rng.poisson(counts[:, None] * self.lam[None, :]).astype(np.int64, copy=False)
 
     def to_dict(self):
         return {"kind": self.kind, "params": {"lam": self.lam.tolist()}}
@@ -188,10 +188,10 @@ class Bernoulli(DistributionSpec):
         return np.diag(self.p * (1.0 - self.p))
 
     def sample(self, count, rng):
-        return rng.binomial(1, self.p, size=(count, self.dim)).astype(np.int64)
+        return rng.binomial(1, self.p, size=(count, self.dim)).astype(np.int64, copy=False)
 
     def _sum_closed_form(self, counts, rng):
-        return rng.binomial(counts[:, None], self.p[None, :]).astype(np.int64)
+        return rng.binomial(counts[:, None], self.p[None, :]).astype(np.int64, copy=False)
 
     def to_dict(self):
         return {"kind": self.kind, "params": {"p": self.p.tolist()}}
@@ -227,7 +227,7 @@ class Geometric(DistributionSpec):
 
     def sample(self, count, rng):
         # numpy's geometric lives on {1, 2, ...}; shift to count failures
-        return (rng.geometric(self.p, size=(count, self.dim)) - 1).astype(np.int64)
+        return (rng.geometric(self.p, size=(count, self.dim)) - 1).astype(np.int64, copy=False)
 
     def _sum_closed_form(self, counts, rng):
         # sum of m geometrics is negative binomial; numpy rejects n = 0
@@ -235,7 +235,7 @@ class Geometric(DistributionSpec):
         positive = counts > 0
         if np.any(positive):
             n = counts[positive][:, None]
-            out[positive] = rng.negative_binomial(n, self.p[None, :]).astype(np.int64)
+            out[positive] = rng.negative_binomial(n, self.p[None, :]).astype(np.int64, copy=False)
         return out
 
     def to_dict(self):

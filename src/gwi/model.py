@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .distributions import DistributionSpec, spec_from_dict
+from .distributions import DistributionSpec, Poisson, spec_from_dict
 from .errors import ValidationError
 
 __all__ = [
@@ -69,6 +70,20 @@ class GwiModel:
     @property
     def p(self) -> int:
         return self.b.size
+
+    @cached_property
+    def poisson_rates(self) -> np.ndarray | None:
+        """Rates of an all-Poisson model, shape (p + 1, p); ``None`` for any other law.
+
+        Row i < p is the offspring rate vector of type i, row p the
+        immigration rates.  Derived on first use and kept read-only.
+        """
+        laws = (*self.offspring, self.immigration)
+        if not all(isinstance(law, Poisson) for law in laws):
+            return None
+        table = np.stack([law.lam for law in laws])
+        table.setflags(write=False)
+        return table
 
     def is_lower_unipotent(self, tol: float = ZERO_TOL) -> bool:
         a = self.A

@@ -18,6 +18,7 @@ Carlo estimates.  Both are deterministic given their seeds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -66,6 +67,14 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; Python and numpy integers pass, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+
+
 def _check_initial(model: GwiModel, initial) -> np.ndarray:
     if initial is None:
         return np.zeros(model.p, dtype=np.int64)
@@ -109,7 +118,7 @@ def simulate_replicas(
     Replica r is ``simulate_trajectory(..., replica=r)``: each owns its
     generator, so every replica depends only on ``(seed, r)``.
     """
-    if replicas < 1:
+    if _integer(replicas, "replicas") < 1:
         raise ValidationError("replicas must be >= 1")
     return [
         simulate_trajectory(model, steps, seed, replica=r, initial=initial)
@@ -120,19 +129,31 @@ def simulate_replicas(
 def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One generation for a batch of replicas, shape (replicas, p) -> same.
 
-    Draw order is fixed (types in order, then immigration) so results are
-    reproducible for a given generator state.
+    Draw order is fixed, so results are reproducible for a given generator
+    state: the offspring sums of type 1, ..., type p over all replicas, then
+    the immigration vectors.  An all-Poisson model (``model.poisson_rates``)
+    makes these draws in one ``rng.poisson`` call over the stacked rates,
+    shape (p + 1, replicas, p); numpy fills it in C order with the same
+    per-element sampler, so it consumes the same stream as one call per law.
+    Any other model draws each law with its own ``sample_sum``/``sample``.
     """
     states = np.asarray(states, dtype=np.int64)
     if states.ndim != 2 or states.shape[1] != model.p:
         raise ValidationError(f"states must have shape (replicas, {model.p})")
-    if np.any(states > _SAFE_LIMIT):
+    if (states > _SAFE_LIMIT).any():
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
-    nxt = np.zeros_like(states)
-    for i, spec in enumerate(model.offspring):
-        nxt += spec.sample_sum(states[:, i], rng)
-    nxt += model.immigration.sample(states.shape[0], rng)
-    if np.any(nxt < 0) or np.any(nxt > _OVERFLOW_LIMIT - 1):
+    rates = model.poisson_rates
+    if rates is not None:
+        # one count row per law: the type-i populations, then 1 for immigration
+        counts = np.ones((model.p + 1, states.shape[0]))
+        counts[:-1] = states.T
+        nxt = rng.poisson(counts[:, :, None] * rates[:, None, :]).sum(axis=0)
+    else:
+        nxt = np.zeros_like(states)
+        for i, spec in enumerate(model.offspring):
+            nxt += spec.sample_sum(states[:, i], rng)
+        nxt += model.immigration.sample(states.shape[0], rng)
+    if (nxt < 0).any() or (nxt > _OVERFLOW_LIMIT - 1).any():
         raise OverflowGuardError(f"population coordinate exceeded {_OVERFLOW_LIMIT}")
     return nxt
 
@@ -152,9 +173,9 @@ def stream_ensemble(
     called, before the first generation is drawn.  Each yielded array is new,
     and the next generation is drawn from it, so read it but do not modify it.
     """
-    if steps < 0:
+    if _integer(steps, "steps") < 0:
         raise ValidationError("steps must be >= 0")
-    if replicas < 1:
+    if _integer(replicas, "replicas") < 1:
         raise ValidationError("replicas must be >= 1")
     state = np.tile(_check_initial(model, initial), (replicas, 1))
     return _generations(model, steps, state, np.random.default_rng(seed))
@@ -186,7 +207,8 @@ def simulate_ensemble(
     iterate :func:`stream_ensemble` directly.
     """
     stream = stream_ensemble(model, steps, replicas, seed, initial=initial)
-    record = sorted(set(int(k) for k in (record_at if record_at is not None else range(steps + 1))))
+    indices = record_at if record_at is not None else range(steps + 1)
+    record = sorted({_integer(k, "each record_at entry") for k in indices})
     if record and (record[0] < 0 or record[-1] > steps):
         raise ValidationError("record_at indices must lie in 0..steps")
     out = np.zeros((replicas, len(record), model.p), dtype=np.int64)

@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gwi import load_model, mean_vector, save_model
+from gwi import (
+    LimitSystem,
+    Poisson,
+    build_model,
+    load_model,
+    make_grid,
+    mean_vector,
+    save_model,
+    simulate_limit_system,
+    simulate_replicas,
+)
 from gwi.cli import main
 from util import poisson_case_model
 
@@ -142,6 +154,62 @@ def test_simulate_split_files(tmp_path, case4_model_path):
     ) == 0
     files = sorted(out_dir.glob("replica_*.csv"))
     assert len(files) == 3
+
+
+def csv_reference(header, rows) -> str:
+    """The table as csv.writer renders it: the reference for the bulk CSV writers."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def test_simulate_csv_bytes_match_csv_writer(tmp_path):
+    # structural zeros, a type that stays at zero, and seven-digit counts
+    model = build_model(
+        [Poisson([1.0, 0.0, 0.0]), Poisson([0.0, 1.0, 0.0]), Poisson([0.0, 0.3, 0.5])],
+        Poisson([0.0, 3e5, 0.0]),
+    )
+    save_model(model, tmp_path / "model.json")
+    base = ["simulate", "--model", str(tmp_path / "model.json"), "--steps", "30", "--seed", "6"]
+    trajectories = simulate_replicas(model, 30, 6, 3)
+    header = ["X_1", "X_2", "X_3"]
+
+    assert main(base + ["--replicas", "3", "--out", str(tmp_path / "all.csv")]) == 0
+    rows = [[t.replica, k, *t.states[k]] for t in trajectories for k in range(31)]
+    expected = csv_reference(["replica", "k", *header], rows)
+    assert read_without_comments(tmp_path / "all.csv") == expected
+
+    assert main(base + ["--replicas", "3", "--out", str(tmp_path / "split"), "--split-files"]) == 0
+    for t in trajectories:
+        path = tmp_path / "split" / f"replica_{t.replica:05d}.csv"
+        rows = [[k, *t.states[k]] for k in range(31)]
+        assert read_without_comments(path) == csv_reference(["k", *header], rows)
+        assert Path(path).read_text().splitlines()[3] == f"# replica={t.replica}"
+
+
+def test_sde_csv_bytes_match_csv_writer(tmp_path):
+    # values below 1e-4 and above 1e12 print in exponent form, zeros as "0",
+    # and the times t = m dt need all 12 significant digits
+    dt = 1 / 30000
+    flags = dict(b1=3e-7, v1=1e-6, a21=2e13, a32=3e16, dt=dt, horizon=5e-4, paths=3, seed=1)
+    out = tmp_path / "sde.csv"
+    argv = ["sde", "--case", "4", "--out", str(out)]
+    assert main(argv + [f"--{k}={v}" for k, v in flags.items()]) == 0
+    system = LimitSystem(case=4, b=(3e-7, 0, 0), v=(1e-6, 0, 0), a21=2e13, a32=3e16)
+    grid = make_grid(5e-4, dt)
+    path = simulate_limit_system(system, grid, 1, n_paths=3)
+    rows = [
+        [p, f"{grid[m]:.12g}", *(f"{x:.12g}" for x in path.values[p, m])]
+        for p in range(3)
+        for m in range(grid.size)
+    ]
+    text = read_without_comments(out)
+    assert text == csv_reference(["path", "t", "X1", "X2", "X3"], rows)
+    cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")[2:]]
+    assert "0" in cells
+    assert any("e-" in cell for cell in cells) and any("e+" in cell for cell in cells)
 
 
 def test_moments_table_matches_engine(tmp_path, case4_model_path):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from gwi import (
     Deterministic,
+    Geometric,
     OverflowGuardError,
+    Poisson,
     Trajectory,
     ValidationError,
     build_model,
@@ -125,6 +127,103 @@ def test_overflow_guard_trips():
     doubling = build_model([Deterministic([2])], Deterministic([1]))
     with pytest.raises(OverflowGuardError):
         simulate_trajectory(doubling, 80, seed=0)
+
+
+def test_overflow_guard_trips_on_all_poisson_model():
+    model = poisson_case_model(4)
+    assert model.poisson_rates is not None
+    with pytest.raises(OverflowGuardError):
+        simulate_trajectory(model, 3, seed=0, initial=[0, 2**53 + 1, 0])
+    with pytest.raises(OverflowGuardError):
+        step_ensemble(model, np.array([[1, 2, 3], [2**53 + 1, 0, 0]]), np.random.default_rng(0))
+
+
+def test_float_steps_and_replicas_are_rejected():
+    model = poisson_case_model(2)
+    calls = (
+        lambda: simulate_trajectory(model, 2.5, 0),
+        lambda: simulate_trajectory(model, 3.0, 0),
+        lambda: stream_ensemble(model, 3, 2.0, 0),
+        lambda: stream_ensemble(model, np.float64(3), 2, 0),
+        lambda: simulate_replicas(model, 3, 0, 2.5),
+        lambda: simulate_ensemble(model, 2.5, 4, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+    states = list(stream_ensemble(model, np.int64(3), np.int32(2), 0))
+    assert len(states) == 4 and states[-1].shape == (2, 3)
+    assert len(simulate_replicas(model, np.int16(3), 0, np.uint8(2))) == 2
+
+
+def test_record_at_rejects_non_integer_entries():
+    model = poisson_case_model(3)
+    for record_at in ([2.7], [1, 2.0], ["2"], [np.float64(2)]):
+        with pytest.raises(ValidationError):
+            simulate_ensemble(model, 5, 4, seed=1, record_at=record_at)
+    recorded = simulate_ensemble(model, 5, 4, seed=1, record_at=[np.int64(2), np.uint8(5), 2])
+    full = simulate_ensemble(model, 5, 4, seed=1)
+    assert np.array_equal(recorded, full[:, [2, 5], :])
+
+
+def test_stacked_poisson_draw_consumes_the_stream_like_sequential_draws():
+    # step_ensemble relies on this numpy contract: one rng.poisson over stacked
+    # rate slabs gives the values of the slabs drawn one after the other, and
+    # leaves the generator in the same state.  numpy switches sampler at rate
+    # 10 and draws nothing for rate 0, so all three kinds are mixed here.
+    rates_rng = np.random.default_rng(5)
+    for laws, replicas, p in ((2, 1, 1), (4, 1, 3), (4, 7, 3), (7, 5, 6)):
+        rates = rates_rng.choice([0.0, 0.3, 2.5, 9.99, 10.0, 37.5, 1e4], size=(laws, replicas, p))
+        rates *= rates_rng.uniform(0.5, 1.5, size=rates.shape)
+        rates[-1] = rates[-1, 0]  # the immigration slab repeats one rate vector
+        for seed in range(4):
+            fused_rng, slab_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fused = fused_rng.poisson(rates)
+            slabs = [slab_rng.poisson(slab) for slab in rates[:-1]]
+            # the per-law path draws immigration with size= over broadcast rates
+            slabs.append(slab_rng.poisson(rates[-1, 0], size=(replicas, p)))
+            assert np.array_equal(fused, np.stack(slabs))
+            assert fused_rng.random() == slab_rng.random()
+
+
+def _per_law_step(model, states, rng):
+    nxt = np.zeros_like(states)
+    for i, spec in enumerate(model.offspring):
+        nxt += spec.sample_sum(states[:, i], rng)
+    return nxt + model.immigration.sample(states.shape[0], rng)
+
+
+def test_step_ensemble_matches_per_law_draws_on_all_poisson_models():
+    model_rng = np.random.default_rng(2024)
+    for p in range(1, 7):
+        for _ in range(3):
+            # structural zeros anywhere; immigration rates reach past 10
+            offspring = model_rng.uniform(0.0, 1.2, size=(p, p)) * (model_rng.random((p, p)) < 0.6)
+            immigration = model_rng.uniform(0.0, 15.0, size=p) * (model_rng.random(p) < 0.7)
+            model = build_model([Poisson(col) for col in offspring], Poisson(immigration))
+            assert model.poisson_rates is not None
+            initial = model_rng.integers(0, 20, size=p)
+            seed = int(model_rng.integers(2**32))
+            fused_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fused = loop = np.tile(initial, (3, 1))
+            for _ in range(8):
+                fused = step_ensemble(model, fused, fused_rng)
+                loop = _per_law_step(model, loop, loop_rng)
+                assert np.array_equal(fused, loop)
+            assert fused_rng.random() == loop_rng.random()
+            stream = list(stream_ensemble(model, 8, 3, seed, initial=initial))
+            assert np.array_equal(stream[-1], fused)
+
+
+def test_models_with_other_laws_draw_per_law():
+    model = build_model([Poisson([1.0, 0.5]), Geometric([1.0, 0.5])], Poisson([1.0, 2.0]))
+    assert model.poisson_rates is None
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    states = np.array([[0, 0], [3, 1]])
+    for _ in range(10):
+        nxt = step_ensemble(model, states, rng_a)
+        assert np.array_equal(nxt, _per_law_step(model, states, rng_b))
+        states = nxt
 
 
 def test_martingale_increments_reconstruction():
