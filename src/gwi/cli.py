@@ -31,6 +31,7 @@ from .model import classify_criticality, detect_case, is_strongly_critical, load
 from .moments import growth_exponents, moment_growth_targets, moment_stream
 from .sde import LimitSystem, make_grid, simulate_limit_system
 from .simulate import (
+    check_seed,
     simulate_replicas,
     weighted_sum_identity_1,
     weighted_sum_identity_2,
@@ -250,7 +251,7 @@ def cmd_sde(args) -> int:
 def cmd_identities(args) -> int:
     if args.max_k < 1 or args.trials < 1:
         raise ValidationError("identities needs --max-k >= 1 and --trials >= 1")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed(args.seed))
     failures = 0
     for _ in range(args.trials):
         k = int(rng.integers(1, args.max_k + 1))

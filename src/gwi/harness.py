@@ -10,6 +10,7 @@ martingale moment bounds on dyadic ranges.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from .sde import (
     limit_mean_vector,
     limit_system_marginals,
 )
-from .simulate import simulate_ensemble, stream_ensemble
+from .simulate import _integer, check_seed, simulate_ensemble, stream_ensemble
 
 __all__ = [
     "ScaledStepProcess",
@@ -218,6 +219,7 @@ def run_convergence_experiment(
         raise ValidationError("n_list must be nonempty positive integers")
     if not t_points or any(t <= 0 for t in t_points):
         raise ValidationError("t_points must be nonempty and positive")
+    seed = check_seed(seed, sequence=False)
 
     system = LimitSystem.from_model(model)
     exps = np.asarray(system.exponents, dtype=float)
@@ -350,6 +352,15 @@ def growth_fit(
     * ``weighted_sup_sum_sq``: same with weights (k - l); predicted degree + 3.
     * ``fourth_moment``: E M_{k,i}^4 across k in ``n_list``; predicted slope 2
       for coordinates fed by their own type only.
+
+    Every quantity comes from one streaming pass to max(n), read at each n:
+    the running sup as it stands at generation n, or M_n^4.  With
+    ``key = SeedSequence(entropy=seed, spawn_key=(max(n),))``, the fourth
+    moment is one ensemble drawn from ``key``.  The sup sums are two
+    half-ensembles of ceil(R/2) and floor(R/2) replicas drawn from the two
+    children ``key.spawn(2)`` on two threads, joined before this returns;
+    the estimate is the mean over both halves.  The split is fixed, so
+    results do not depend on the CPU count.
     """
     if quantity not in _QUANTITIES:
         raise ValidationError(f"quantity must be one of {_QUANTITIES}")
@@ -358,25 +369,28 @@ def growth_fit(
     n_list = sorted(int(n) for n in n_list)
     if not n_list or n_list[0] < 1:
         raise ValidationError("n_list must be positive integers")
-    if replicas < 2:
+    if _integer(replicas, "replicas") < 2:
         raise ValidationError("need at least 2 replicas")
+    seed = check_seed(seed, sequence=False)
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(n_list[-1],))
 
     targets_all = moment_growth_targets(model)
-    if quantity == "sup_sum_sq":
-        targets = tuple(float(e) for e in targets_all["sum_sup"])
-        estimates = np.stack(
-            [_sup_sum_estimate(model, n, replicas, seed, weighted=False) for n in n_list]
-        )
-    elif quantity == "weighted_sup_sum_sq":
-        targets = tuple(float(e) for e in targets_all["weighted_sum_sup"])
-        estimates = np.stack(
-            [_sup_sum_estimate(model, n, replicas, seed, weighted=True) for n in n_list]
-        )
+    if quantity == "fourth_moment":
+        targets = tuple(float(e) if e is not None else None for e in targets_all["fourth"])
+        ensembles = [_stream_values(model, quantity, n_list, replicas, key)]
     else:
-        targets = tuple(
-            float(e) if e is not None else None for e in targets_all["fourth"]
-        )
-        estimates = _fourth_moment_estimates(model, n_list, replicas, seed)
+        name = "sum_sup" if quantity == "sup_sum_sq" else "weighted_sum_sup"
+        targets = tuple(float(e) for e in targets_all[name])
+        sizes = (replicas - replicas // 2, replicas // 2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(_stream_values, model, quantity, n_list, size, child)
+                for size, child in zip(sizes, key.spawn(2))
+            ]
+            ensembles = [future.result() for future in futures]
+    estimates = np.stack(
+        [np.mean(np.concatenate([values[n] for values in ensembles]), axis=0) for n in n_list]
+    )
 
     slopes: list[float | None] = []
     log_sizes = np.log(np.asarray(n_list, dtype=float))
@@ -396,44 +410,41 @@ def growth_fit(
     )
 
 
-def _sup_sum_estimate(
-    model: GwiModel, n: int, replicas: int, seed: int, *, weighted: bool
-) -> np.ndarray:
-    """Mean over replicas of sup_{k<=n} S_k^2 (or W_k^2), streaming."""
+def _stream_values(
+    model: GwiModel,
+    quantity: str,
+    n_list: list[int],
+    replicas: int,
+    key: np.random.SeedSequence,
+) -> dict[int, np.ndarray]:
+    """Per-replica values of ``quantity`` at each n in ``n_list``, one pass to max(n).
+
+    The running sup of S_k^2 (or W_k^2) as it stands at generation n, or
+    M_n^4; each of shape (replicas, p).
+    """
     a_t = model.A.T
+    wanted = set(n_list)
+    values: dict[int, np.ndarray] = {}
     running = np.zeros((replicas, model.p))
     weighted_sum = np.zeros((replicas, model.p))
     best = np.zeros((replicas, model.p))
-    child = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
-    stream = stream_ensemble(model, n, replicas, child)
-    prev = next(stream).astype(float)
-    for states in stream:
-        current = states.astype(float)
-        innov = current - prev @ a_t  # M_k + b
-        if weighted:
-            weighted_sum += running
-            best = np.maximum(best, weighted_sum**2)
-            running += innov
-        else:
-            running += innov
-            best = np.maximum(best, running**2)
-        prev = current
-    return np.mean(best, axis=0)
-
-
-def _fourth_moment_estimates(
-    model: GwiModel, k_list: list[int], replicas: int, seed: int
-) -> np.ndarray:
-    """E M_k^4 per coordinate at each k in k_list, one streaming pass."""
-    a_t = model.A.T
-    results: dict[int, np.ndarray] = {}
-    child = np.random.SeedSequence(entropy=seed, spawn_key=(max(k_list),))
-    stream = stream_ensemble(model, max(k_list), replicas, child)
+    stream = stream_ensemble(model, n_list[-1], replicas, key)
     prev = next(stream).astype(float)
     for k, states in enumerate(stream, start=1):
         current = states.astype(float)
-        if k in k_list:
-            m = current - prev @ a_t - model.b
-            results[k] = np.mean(m**4, axis=0)
+        if quantity == "fourth_moment":
+            if k in wanted:
+                values[k] = (current - prev @ a_t - model.b) ** 4
+        else:
+            innov = current - prev @ a_t  # M_k + b
+            if quantity == "weighted_sup_sum_sq":
+                weighted_sum += running
+                best = np.maximum(best, weighted_sum**2)
+                running += innov
+            else:
+                running += innov
+                best = np.maximum(best, running**2)
+            if k in wanted:
+                values[k] = best
         prev = current
-    return np.stack([results[k] for k in k_list])
+    return values

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DegenerateLawError, ValidationError
 from .model import GwiModel, detect_case
 from .moments import growth_exponents
+from .simulate import check_seed
 
 __all__ = [
     "LimitSystem",
@@ -217,6 +218,7 @@ def simulate_limit_system(
 ) -> SdePath:
     """Simulate the 3-coordinate limit system on a grid, all paths stored."""
     grid = _check_grid(grid)
+    seed = check_seed(seed)
     values = _integrate(
         system.b,
         system.v,
@@ -250,6 +252,7 @@ def limit_system_marginals(
     grid (within 1e-9).
     """
     indices = _grid_indices(t_points, dt).tolist()
+    seed = check_seed(seed)
     return _integrate(
         system.b,
         system.v,

@@ -75,6 +75,20 @@ def _integer(value, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
+def check_seed(seed, name: str = "seed", *, sequence: bool = True):
+    """``seed`` as a nonnegative int, or unchanged if it is a ``SeedSequence``.
+
+    numpy integer scalars pass.  With ``sequence=False`` the value must be an
+    integer, for callers that use it as ``SeedSequence`` entropy or spawn key.
+    """
+    if sequence and isinstance(seed, np.random.SeedSequence):
+        return seed
+    value = _integer(seed, name)
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, not {value}")
+    return value
+
+
 def _check_initial(model: GwiModel, initial) -> np.ndarray:
     if initial is None:
         return np.zeros(model.p, dtype=np.int64)
@@ -99,6 +113,8 @@ def simulate_trajectory(
     :class:`OverflowGuardError` once a coordinate exceeds 2**53, the largest
     population whose offspring sums are still drawn exactly.
     """
+    seed = check_seed(seed, sequence=False)
+    replica = check_seed(replica, "replica", sequence=False)
     key = np.random.SeedSequence(entropy=seed, spawn_key=(replica,))
     states = np.concatenate(list(stream_ensemble(model, steps, 1, key, initial=initial)))
     states.setflags(write=False)
@@ -178,7 +194,7 @@ def stream_ensemble(
     if _integer(replicas, "replicas") < 1:
         raise ValidationError("replicas must be >= 1")
     state = np.tile(_check_initial(model, initial), (replicas, 1))
-    return _generations(model, steps, state, np.random.default_rng(seed))
+    return _generations(model, steps, state, np.random.default_rng(check_seed(seed)))
 
 
 def _generations(

@@ -346,6 +346,25 @@ def test_converge_subcommand(tmp_path, case4_model_path):
     assert strip_timestamp(tmp_path / "exp" / "report.json") == report
 
 
+def test_negative_seed_exits_2(tmp_path, case4_model_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        json.dumps({"model": case4_model_path, "case": 4, "out_dir": str(tmp_path / "exp")})
+    )
+    for argv in (
+        ["simulate", "--model", case4_model_path, "--steps", "3"],
+        ["sde", "--case", "1", "--b1", "1.0", "--v1", "1.0"],
+        ["converge", "--config", str(cfg_path)],
+        ["identities", "--max-k", "3", "--trials", "2"],
+    ):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--seed", "-3", "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "seed" in err[0], (argv, err)
+        assert not out.exists()
+    assert not (tmp_path / "exp").exists()
+
+
 def test_converge_missing_keys(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"model": "x"}))

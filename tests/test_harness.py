@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+import gwi.harness
 from gwi import (
+    Geometric,
     LimitSystem,
+    OverflowGuardError,
     ScaledStepProcess,
     ValidationError,
+    build_model,
     decomposition_components,
     growth_exponents,
     growth_fit,
@@ -15,6 +21,7 @@ from gwi import (
     simulate_ensemble,
     simulate_trajectory,
     step_integral_functional,
+    stream_ensemble,
     wasserstein1,
 )
 from util import deterministic_model, poisson_case_model, single_type_poisson
@@ -205,6 +212,92 @@ def test_growth_fit_sup_sums_of_deterministic_model_are_exact():
     assert np.array_equal(plain.estimates, (n * b) ** 2)
     weighted = growth_fit(deterministic_model(), "weighted_sup_sum_sq", sizes, 4, seed=0)
     assert np.array_equal(weighted.estimates, (b * n * (n - 1) / 2) ** 2)
+
+
+def _innovations(model, replicas, steps, key):
+    """X_k - A X_{k-1} for k = 1..steps of one ensemble stream, as a list."""
+    states = [x.astype(float) for x in stream_ensemble(model, steps, replicas, key)]
+    return [current - prev @ model.A.T for prev, current in zip(states, states[1:])]
+
+
+def _sup_sum_reference(model, quantity, sizes, replicas, seed):
+    # two half-ensembles from the children of the max(n) key, ceil/floor sizes
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(max(sizes),))
+    at_size = {n: [] for n in sizes}
+    for child, count in zip(key.spawn(2), (-(-replicas // 2), replicas // 2)):
+        running = np.zeros((count, model.p))
+        weighted = np.zeros((count, model.p))
+        best = np.zeros((count, model.p))
+        for k, innov in enumerate(_innovations(model, count, max(sizes), child), start=1):
+            if quantity == "weighted_sup_sum_sq":
+                weighted += running
+                best = np.maximum(best, weighted**2)
+                running += innov
+            else:
+                running += innov
+                best = np.maximum(best, running**2)
+            if k in at_size:
+                at_size[k].append(best)
+    return np.stack([np.mean(np.concatenate(at_size[n]), axis=0) for n in sizes])
+
+
+@pytest.mark.parametrize("quantity", ["sup_sum_sq", "weighted_sup_sum_sq"])
+def test_growth_fit_sup_sums_are_two_half_ensembles_read_at_each_size(quantity):
+    model = poisson_case_model(4, immigration=(1.0, 0.0, 0.0))
+    sizes = [3, 8, 8, 21]
+    result = growth_fit(model, quantity, [21, 8, 3, 8], 5, seed=31)
+    assert result.sizes == tuple(sizes)
+    assert np.array_equal(result.estimates, _sup_sum_reference(model, quantity, sizes, 5, 31))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        poisson_case_model(4, immigration=(1.0, 0.0, 0.0)),
+        single_type_poisson(),
+        build_model([Geometric([0.5])], Geometric([0.5])),
+    ],
+)
+def test_growth_fit_fourth_moment_is_one_stream_keyed_by_the_largest_size(model):
+    sizes = [2, 5, 13]
+    key = np.random.SeedSequence(entropy=17, spawn_key=(13,))
+    innovations = _innovations(model, 9, 13, key)
+    expected = np.stack([np.mean((innovations[k - 1] - model.b) ** 4, axis=0) for k in sizes])
+    result = growth_fit(model, "fourth_moment", sizes, 9, seed=17)
+    assert np.array_equal(result.estimates, expected)
+
+
+def test_growth_fit_joins_its_threads():
+    before = threading.active_count()
+    growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 6, seed=0)
+    growth_fit(single_type_poisson(), "weighted_sup_sum_sq", [4, 8], 6, seed=0)
+    assert threading.active_count() == before
+
+
+def test_growth_fit_raises_the_error_of_one_half(monkeypatch):
+    def failing(model, steps, replicas, seed, **kwargs):
+        if replicas == 2:  # the floor half of 5 replicas
+            raise OverflowGuardError("half failed")
+        return stream_ensemble(model, steps, replicas, seed, **kwargs)
+
+    monkeypatch.setattr(gwi.harness, "stream_ensemble", failing)
+    before = threading.active_count()
+    with pytest.raises(OverflowGuardError, match="half failed"):
+        growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 5, seed=0)
+    assert threading.active_count() == before
+
+
+def test_growth_fit_and_convergence_reject_bad_seeds():
+    for seed in (-1, 1.5, np.random.SeedSequence(1)):
+        with pytest.raises(ValidationError):
+            growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 4, seed=seed)
+        with pytest.raises(ValidationError):
+            run_convergence_experiment(poisson_case_model(1), 1, [20], 1000, [1.0], 1000, seed=seed)
+    with pytest.raises(ValidationError):
+        growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 4.0, seed=0)
+    a = growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 4, seed=np.uint8(6))
+    b = growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 4, seed=6)
+    assert np.array_equal(a.estimates, b.estimates)
 
 
 def test_growth_fit_rejects_unknown_quantity():

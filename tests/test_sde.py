@@ -271,6 +271,21 @@ def test_marginals_require_grid_alignment():
         limit_system_marginals(system, [0.5], float("nan"), 10, seed=0)
 
 
+def test_limit_system_rejects_negative_and_non_integer_seeds():
+    system = besq_system(1.0, 1.0)
+    grid = make_grid(0.1, 0.01)
+    for seed in (-2, 1.5, np.int32(-1), "3"):
+        with pytest.raises(ValidationError):
+            limit_system_marginals(system, [0.1], 0.01, 10, seed=seed)
+        with pytest.raises(ValidationError):
+            simulate_limit_system(system, grid, seed=seed)
+    key = np.random.SeedSequence(5)
+    assert np.array_equal(
+        limit_system_marginals(system, [0.1], 0.01, 10, seed=key),
+        limit_system_marginals(system, [0.1], 0.01, 10, seed=np.int64(5)),
+    )
+
+
 def test_limit_system_determinism():
     model = poisson_case_model(2)
     system = LimitSystem.from_model(model)

@@ -156,6 +156,34 @@ def test_float_steps_and_replicas_are_rejected():
     assert len(simulate_replicas(model, np.int16(3), 0, np.uint8(2))) == 2
 
 
+def test_negative_and_non_integer_seeds_are_rejected():
+    model = poisson_case_model(2)
+    calls = (
+        lambda: simulate_trajectory(model, 3, -3),
+        lambda: simulate_trajectory(model, 3, 1.5),
+        lambda: simulate_trajectory(model, 3, np.random.SeedSequence(1)),
+        lambda: simulate_trajectory(model, 3, 0, replica=1.5),
+        lambda: simulate_trajectory(model, 3, 0, replica=-1),
+        lambda: simulate_replicas(model, 3, -1, 2),
+        lambda: stream_ensemble(model, 3, 2, -1),
+        lambda: stream_ensemble(model, 3, 2, 2.0),
+        lambda: stream_ensemble(model, 3, 2, "7"),
+        lambda: simulate_ensemble(model, 3, 2, np.int64(-4)),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+    reference = simulate_trajectory(model, 5, 3, replica=2).states
+    same = simulate_trajectory(model, 5, np.uint16(3), replica=np.int8(2)).states
+    assert np.array_equal(reference, same)
+    key = np.random.SeedSequence(entropy=3, spawn_key=(2,))
+    streamed = np.concatenate(list(stream_ensemble(model, 5, 1, key)))
+    assert np.array_equal(reference, streamed)
+    assert np.array_equal(
+        simulate_ensemble(model, 5, 4, np.int64(9)), simulate_ensemble(model, 5, 4, 9)
+    )
+
+
 def test_record_at_rejects_non_integer_entries():
     model = poisson_case_model(3)
     for record_at in ([2.7], [1, 2.0], ["2"], [np.float64(2)]):
