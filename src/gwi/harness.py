@@ -10,7 +10,6 @@ martingale moment bounds on dyadic ranges.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
@@ -353,14 +352,9 @@ def growth_fit(
     * ``fourth_moment``: E M_{k,i}^4 across k in ``n_list``; predicted slope 2
       for coordinates fed by their own type only.
 
-    Every quantity comes from one streaming pass to max(n), read at each n:
-    the running sup as it stands at generation n, or M_n^4.  With
-    ``key = SeedSequence(entropy=seed, spawn_key=(max(n),))``, the fourth
-    moment is one ensemble drawn from ``key``.  The sup sums are two
-    half-ensembles of ceil(R/2) and floor(R/2) replicas drawn from the two
-    children ``key.spawn(2)`` on two threads, joined before this returns;
-    the estimate is the mean over both halves.  The split is fixed, so
-    results do not depend on the CPU count.
+    Every quantity comes from one ensemble stream to max(n), keyed
+    ``SeedSequence(entropy=seed, spawn_key=(max(n),))`` and read at each n:
+    the running sup as it stands at generation n, or M_n^4.
     """
     if quantity not in _QUANTITIES:
         raise ValidationError(f"quantity must be one of {_QUANTITIES}")
@@ -371,26 +365,21 @@ def growth_fit(
         raise ValidationError("n_list must be positive integers")
     if _integer(replicas, "replicas") < 2:
         raise ValidationError("need at least 2 replicas")
-    seed = check_seed(seed, sequence=False)
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(n_list[-1],))
+    key = np.random.SeedSequence(
+        entropy=check_seed(seed, sequence=False), spawn_key=(n_list[-1],)
+    )
+    innovations = _innovations(model, n_list[-1], replicas, key)
 
     targets_all = moment_growth_targets(model)
     if quantity == "fourth_moment":
         targets = tuple(float(e) if e is not None else None for e in targets_all["fourth"])
-        ensembles = [_stream_values(model, quantity, n_list, replicas, key)]
+        estimates = _fourth_moment_estimates(model, innovations, n_list)
     else:
-        name = "sum_sup" if quantity == "sup_sum_sq" else "weighted_sum_sup"
-        targets = tuple(float(e) for e in targets_all[name])
-        sizes = (replicas - replicas // 2, replicas // 2)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [
-                pool.submit(_stream_values, model, quantity, n_list, size, child)
-                for size, child in zip(sizes, key.spawn(2))
-            ]
-            ensembles = [future.result() for future in futures]
-    estimates = np.stack(
-        [np.mean(np.concatenate([values[n] for values in ensembles]), axis=0) for n in n_list]
-    )
+        weighted = quantity == "weighted_sup_sum_sq"
+        targets = tuple(
+            float(e) for e in targets_all["weighted_sum_sup" if weighted else "sum_sup"]
+        )
+        estimates = _sup_sum_estimates(model, innovations, n_list, replicas, weighted=weighted)
 
     slopes: list[float | None] = []
     log_sizes = np.log(np.asarray(n_list, dtype=float))
@@ -410,41 +399,43 @@ def growth_fit(
     )
 
 
-def _stream_values(
-    model: GwiModel,
-    quantity: str,
-    n_list: list[int],
-    replicas: int,
-    key: np.random.SeedSequence,
-) -> dict[int, np.ndarray]:
-    """Per-replica values of ``quantity`` at each n in ``n_list``, one pass to max(n).
-
-    The running sup of S_k^2 (or W_k^2) as it stands at generation n, or
-    M_n^4; each of shape (replicas, p).
-    """
+def _innovations(model: GwiModel, steps: int, replicas: int, key):
+    """X_k - A X_{k-1} (= M_k + b) for k = 1..steps of one ensemble stream."""
     a_t = model.A.T
-    wanted = set(n_list)
-    values: dict[int, np.ndarray] = {}
+    stream = stream_ensemble(model, steps, replicas, key)
+    prev = next(stream).astype(float)
+    for states in stream:
+        current = states.astype(float)
+        yield current - prev @ a_t
+        prev = current
+
+
+def _sup_sum_estimates(
+    model: GwiModel, innovations, n_list: list[int], replicas: int, *, weighted: bool
+) -> np.ndarray:
+    """Mean over replicas of sup_{k<=n} S_k^2 (or W_k^2) at each n in n_list."""
     running = np.zeros((replicas, model.p))
     weighted_sum = np.zeros((replicas, model.p))
     best = np.zeros((replicas, model.p))
-    stream = stream_ensemble(model, n_list[-1], replicas, key)
-    prev = next(stream).astype(float)
-    for k, states in enumerate(stream, start=1):
-        current = states.astype(float)
-        if quantity == "fourth_moment":
-            if k in wanted:
-                values[k] = (current - prev @ a_t - model.b) ** 4
+    results: dict[int, np.ndarray] = {}
+    for k, innov in enumerate(innovations, start=1):
+        if weighted:
+            weighted_sum += running
+            best = np.maximum(best, weighted_sum**2)
+            running += innov
         else:
-            innov = current - prev @ a_t  # M_k + b
-            if quantity == "weighted_sup_sum_sq":
-                weighted_sum += running
-                best = np.maximum(best, weighted_sum**2)
-                running += innov
-            else:
-                running += innov
-                best = np.maximum(best, running**2)
-            if k in wanted:
-                values[k] = best
-        prev = current
-    return values
+            running += innov
+            best = np.maximum(best, running**2)
+        if k in n_list:
+            results[k] = np.mean(best, axis=0)
+    return np.stack([results[n] for n in n_list])
+
+
+def _fourth_moment_estimates(model: GwiModel, innovations, n_list: list[int]) -> np.ndarray:
+    """E M_k^4 per coordinate at each k in n_list."""
+    results = {
+        k: np.mean((innov - model.b) ** 4, axis=0)
+        for k, innov in enumerate(innovations, start=1)
+        if k in n_list
+    }
+    return np.stack([results[k] for k in n_list])

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
-import gwi.harness
 from gwi import (
     Geometric,
     LimitSystem,
-    OverflowGuardError,
     ScaledStepProcess,
     ValidationError,
     build_model,
@@ -221,28 +217,26 @@ def _innovations(model, replicas, steps, key):
 
 
 def _sup_sum_reference(model, quantity, sizes, replicas, seed):
-    # two half-ensembles from the children of the max(n) key, ceil/floor sizes
+    # one stream to max(n) keyed by it; the running sup read at each n
     key = np.random.SeedSequence(entropy=seed, spawn_key=(max(sizes),))
-    at_size = {n: [] for n in sizes}
-    for child, count in zip(key.spawn(2), (-(-replicas // 2), replicas // 2)):
-        running = np.zeros((count, model.p))
-        weighted = np.zeros((count, model.p))
-        best = np.zeros((count, model.p))
-        for k, innov in enumerate(_innovations(model, count, max(sizes), child), start=1):
-            if quantity == "weighted_sup_sum_sq":
-                weighted += running
-                best = np.maximum(best, weighted**2)
-                running += innov
-            else:
-                running += innov
-                best = np.maximum(best, running**2)
-            if k in at_size:
-                at_size[k].append(best)
-    return np.stack([np.mean(np.concatenate(at_size[n]), axis=0) for n in sizes])
+    running = np.zeros((replicas, model.p))
+    weighted = np.zeros((replicas, model.p))
+    best = np.zeros((replicas, model.p))
+    at_size = {}
+    for k, innov in enumerate(_innovations(model, replicas, max(sizes), key), start=1):
+        if quantity == "weighted_sup_sum_sq":
+            weighted += running
+            best = np.maximum(best, weighted**2)
+            running += innov
+        else:
+            running += innov
+            best = np.maximum(best, running**2)
+        at_size[k] = np.mean(best, axis=0)
+    return np.stack([at_size[n] for n in sizes])
 
 
 @pytest.mark.parametrize("quantity", ["sup_sum_sq", "weighted_sup_sum_sq"])
-def test_growth_fit_sup_sums_are_two_half_ensembles_read_at_each_size(quantity):
+def test_growth_fit_sup_sums_are_one_stream_read_at_each_size(quantity):
     model = poisson_case_model(4, immigration=(1.0, 0.0, 0.0))
     sizes = [3, 8, 8, 21]
     result = growth_fit(model, quantity, [21, 8, 3, 8], 5, seed=31)
@@ -265,26 +259,6 @@ def test_growth_fit_fourth_moment_is_one_stream_keyed_by_the_largest_size(model)
     expected = np.stack([np.mean((innovations[k - 1] - model.b) ** 4, axis=0) for k in sizes])
     result = growth_fit(model, "fourth_moment", sizes, 9, seed=17)
     assert np.array_equal(result.estimates, expected)
-
-
-def test_growth_fit_joins_its_threads():
-    before = threading.active_count()
-    growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 6, seed=0)
-    growth_fit(single_type_poisson(), "weighted_sup_sum_sq", [4, 8], 6, seed=0)
-    assert threading.active_count() == before
-
-
-def test_growth_fit_raises_the_error_of_one_half(monkeypatch):
-    def failing(model, steps, replicas, seed, **kwargs):
-        if replicas == 2:  # the floor half of 5 replicas
-            raise OverflowGuardError("half failed")
-        return stream_ensemble(model, steps, replicas, seed, **kwargs)
-
-    monkeypatch.setattr(gwi.harness, "stream_ensemble", failing)
-    before = threading.active_count()
-    with pytest.raises(OverflowGuardError, match="half failed"):
-        growth_fit(single_type_poisson(), "sup_sum_sq", [4, 8], 5, seed=0)
-    assert threading.active_count() == before
 
 
 def test_growth_fit_and_convergence_reject_bad_seeds():
