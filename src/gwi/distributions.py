@@ -11,7 +11,6 @@ moments of all orders, and two sampling routines:
   distribution (sums of Poissons are Poisson, Bernoulli sums are Binomial,
   geometric sums are negative binomial, categorical counts are multinomial),
   distributionally identical to summing individual draws, just vectorized.
-  Pass ``exact_sums=False`` to force the individual-by-individual path.
 
 Parametric kinds have independent coordinates; correlated coordinates require
 :class:`JointTable`.
@@ -19,7 +18,7 @@ Parametric kinds have independent coordinates; correlated coordinates require
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -69,28 +68,22 @@ class DistributionSpec:
         """Draw ``count`` i.i.d. vectors, shape ``(count, dim)``, int64."""
         raise NotImplementedError
 
-    def sample_sum(
-        self, counts, rng: np.random.Generator, *, exact_sums: bool = True
-    ) -> np.ndarray:
+    def sample_sum(self, counts, rng: np.random.Generator) -> np.ndarray:
         """Row r is the sum of ``counts[r]`` i.i.d. vectors, shape ``(len(counts), dim)``."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 1:
             raise ValidationError("counts must be 1-d")
         if np.any(counts < 0):
             raise ValidationError("counts must be nonnegative")
-        if exact_sums:
-            return self._sum_closed_form(counts, rng)
-        out = np.zeros((counts.size, self.dim), dtype=np.int64)
-        for r, m in enumerate(counts):
-            if m > 0:
-                out[r] = self.sample(int(m), rng).sum(axis=0)
-        return out
+        return self._sum_closed_form(counts, rng)
 
     def _sum_closed_form(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def to_dict(self) -> dict[str, Any]:
-        raise NotImplementedError
+        """JSON form ``{"kind": ..., "params": {...}}``, one param per init field."""
+        params = {f.name: getattr(self, f.name).tolist() for f in fields(self) if f.init}
+        return {"kind": self.kind, "params": params}
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +118,6 @@ class Deterministic(DistributionSpec):
     def _sum_closed_form(self, counts, rng):
         return counts[:, None] * self.c[None, :]
 
-    def to_dict(self):
-        return {"kind": self.kind, "params": {"c": self.c.tolist()}}
-
 
 @dataclass(frozen=True, eq=False)
 class Poisson(DistributionSpec):
@@ -159,9 +149,6 @@ class Poisson(DistributionSpec):
     def _sum_closed_form(self, counts, rng):
         return rng.poisson(counts[:, None] * self.lam[None, :]).astype(np.int64, copy=False)
 
-    def to_dict(self):
-        return {"kind": self.kind, "params": {"lam": self.lam.tolist()}}
-
 
 @dataclass(frozen=True, eq=False)
 class Bernoulli(DistributionSpec):
@@ -192,9 +179,6 @@ class Bernoulli(DistributionSpec):
 
     def _sum_closed_form(self, counts, rng):
         return rng.binomial(counts[:, None], self.p[None, :]).astype(np.int64, copy=False)
-
-    def to_dict(self):
-        return {"kind": self.kind, "params": {"p": self.p.tolist()}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +221,6 @@ class Geometric(DistributionSpec):
             n = counts[positive][:, None]
             out[positive] = rng.negative_binomial(n, self.p[None, :]).astype(np.int64, copy=False)
         return out
-
-    def to_dict(self):
-        return {"kind": self.kind, "params": {"p": self.p.tolist()}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,20 +278,8 @@ class JointTable(DistributionSpec):
         table_counts = rng.multinomial(counts, self.probs)
         return table_counts @ self.support
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "params": {"support": self.support.tolist(), "probs": self.probs.tolist()},
-        }
 
-
-_KINDS = {
-    "deterministic": lambda p: Deterministic(c=p["c"]),
-    "poisson": lambda p: Poisson(lam=p["lam"]),
-    "bernoulli": lambda p: Bernoulli(p=p["p"]),
-    "geometric": lambda p: Geometric(p=p["p"]),
-    "joint_table": lambda p: JointTable(support=p["support"], probs=p["probs"]),
-}
+_KINDS = {cls.kind: cls for cls in (Deterministic, Poisson, Bernoulli, Geometric, JointTable)}
 
 
 def spec_from_dict(payload: dict[str, Any]) -> DistributionSpec:
@@ -322,7 +291,18 @@ def spec_from_dict(payload: dict[str, Any]) -> DistributionSpec:
         raise ValidationError(f"malformed distribution spec: {payload!r}") from exc
     if kind not in _KINDS:
         raise ValidationError(f"unknown distribution kind {kind!r}")
+    cls = _KINDS[kind]
     try:
-        return _KINDS[kind](params)
+        kwargs = {f.name: params[f.name] for f in fields(cls) if f.init}
     except KeyError as exc:
         raise ValidationError(f"missing parameter for kind {kind!r}: {exc}") from exc
+    for name, value in kwargs.items():
+        try:
+            numeric = np.asarray(value).dtype.kind in "biuf"
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
+            raise ValidationError(
+                f"parameter {name!r} of kind {kind!r} must be a rectangular array of numbers"
+            )
+    return cls(**kwargs)

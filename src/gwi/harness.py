@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _scale(values, n: int, exponents) -> np.ndarray:
+    """n^{-e_i} times coordinate i of ``values``."""
+    return values / np.power(float(n), exponents)
+
+
 @dataclass(frozen=True, eq=False)
 class ScaledStepProcess:
     """Piecewise-constant evaluator t -> n^{-e_i} X_{floor(n t), i}.
@@ -55,8 +60,7 @@ class ScaledStepProcess:
         k = math.floor(self.n * t)
         if t < 0 or k >= self.states.shape[0]:
             raise ValidationError(f"t = {t} needs generation {k}, trajectory is shorter")
-        scale = np.asarray([float(self.n) ** -e for e in self.exponents])
-        return self.states[k].astype(float) * scale
+        return _scale(self.states[k].astype(float), self.n, self.exponents)
 
 
 def step_integral_functional(step_values, n: int, t: float):
@@ -212,7 +216,7 @@ def run_convergence_experiment(
         raise ValidationError("need at least 1000 replicas for the stated CI levels")
     if sde_paths < 2:
         raise ValidationError("need at least 2 limit-system paths")
-    n_list = [int(n) for n in n_list]
+    n_list = [_integer(n, "n_list entry") for n in n_list]
     t_points = [float(t) for t in t_points]
     if not n_list or any(n < 1 for n in n_list):
         raise ValidationError("n_list must be nonempty positive integers")
@@ -245,8 +249,8 @@ def run_convergence_experiment(
         for ti, t in enumerate(t_points):
             k = math.floor(n * t)
             raw = recorded[:, position[k], :].astype(float)[:, perm]
-            scaled = raw / np.power(float(n), exps)
-            exact_scaled = cid.apply_vector(exact_means[k]) / np.power(float(n), exps)
+            scaled = _scale(raw, n, exps)
+            exact_scaled = _scale(cid.apply_vector(exact_means[k]), n, exps)
             limit_mu = limit_mean_vector(system, t)
             for c in range(3):
                 xs = scaled[:, c]
@@ -360,7 +364,7 @@ def growth_fit(
         raise ValidationError(f"quantity must be one of {_QUANTITIES}")
     if not model.is_lower_unipotent():
         raise ValidationError("growth fits require a lower-unipotent mean matrix")
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted(_integer(n, "n_list entry") for n in n_list)
     if not n_list or n_list[0] < 1:
         raise ValidationError("n_list must be positive integers")
     if _integer(replicas, "replicas") < 2:

@@ -57,6 +57,16 @@ def _check_square_nonneg(a, name: str = "A") -> np.ndarray:
     return arr
 
 
+def _lower_unipotent(a, tol: float = ZERO_TOL) -> bool:
+    """True iff ``a`` is square with |diag - 1| <= tol and |upper| <= tol."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    if np.any(np.abs(np.diag(a) - 1.0) > tol):
+        return False
+    return not np.any(np.abs(np.triu(a, 1)) > tol)
+
+
 @dataclass(frozen=True, eq=False)
 class GwiModel:
     """Immutable model: offspring specs per type, immigration spec, derived moments."""
@@ -85,11 +95,8 @@ class GwiModel:
         table.setflags(write=False)
         return table
 
-    def is_lower_unipotent(self, tol: float = ZERO_TOL) -> bool:
-        a = self.A
-        if np.any(np.abs(np.diag(a) - 1.0) > tol):
-            return False
-        return not np.any(np.abs(np.triu(a, 1)) > tol)
+    def is_lower_unipotent(self) -> bool:
+        return _lower_unipotent(self.A)
 
     def to_dict(self):
         return {
@@ -294,10 +301,8 @@ def detect_case(a, tol: float = ZERO_TOL) -> CaseId:
     a = _check_square_nonneg(a)
     if a.shape != (3, 3):
         raise ValidationError("detect_case needs a 3x3 matrix")
-    if np.any(np.abs(np.diag(a) - 1.0) > tol):
-        raise ValidationError("diagonal entries must all be 1")
-    if np.any(np.abs(np.triu(a, 1)) > tol):
-        raise ValidationError("matrix must be lower triangular (upper entries zero)")
+    if not _lower_unipotent(a, tol):
+        raise ValidationError("matrix must be lower triangular with unit diagonal")
 
     a21, a31, a32 = a[1, 0] > tol, a[2, 0] > tol, a[2, 1] > tol
     if not a21 and not a31 and not a32:

@@ -28,7 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ValidationError
-from .model import GwiModel, ZERO_TOL
+from .model import GwiModel, _lower_unipotent
 
 __all__ = [
     "UnipotentMatrix",
@@ -54,22 +54,15 @@ class UnipotentMatrix:
     stays exact (object dtype holding Python ints); float input uses float64.
     """
 
-    def __init__(self, a, tol: float = ZERO_TOL):
+    def __init__(self, a):
         arr = np.asarray(a)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("matrix must be square")
-        if np.any(np.abs(np.asarray(arr, dtype=float) - np.tril(np.asarray(arr, dtype=float))) > tol):
-            raise ValidationError("matrix must be lower triangular")
-        if np.any(np.abs(np.diag(np.asarray(arr, dtype=float)) - 1.0) > tol):
-            raise ValidationError("diagonal entries must all be 1")
+        if not _lower_unipotent(arr):
+            raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
 
-        self.exact = arr.dtype == object or np.issubdtype(arr.dtype, np.integer)
-        if self.exact:
+        exact = arr.dtype == object or np.issubdtype(arr.dtype, np.integer)
+        if exact:
             work = np.array([[int(x) for x in row] for row in arr], dtype=object)
-            eye = np.array(
-                [[1 if i == j else 0 for j in range(arr.shape[0])] for i in range(arr.shape[0])],
-                dtype=object,
-            )
+            eye = np.eye(arr.shape[0], dtype=np.int64).astype(object)  # Python ints
         else:
             work = np.tril(arr.astype(float))  # zero out round-off above the diagonal
             np.fill_diagonal(work, 1.0)
@@ -80,7 +73,6 @@ class UnipotentMatrix:
         powers = [eye]
         for _ in range(1, self.p):
             powers.append(powers[-1] @ nilpotent)
-        self.nilpotent = nilpotent
         self.c_powers = powers
 
     def power(self, k: int) -> np.ndarray:
@@ -178,16 +170,13 @@ def variance_matrix(model: GwiModel, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthExponents:
-    """Polynomial growth scales of the mean, plus first-positive-immigration indices.
+    """Polynomial growth scales of the mean.
 
     ``degrees[i]`` is the largest m such that some entry of row i of
     (A - I)^(m-1) is positive; E X_{k, i} = O(k^degrees[i]).
-    ``first_immigration[i]`` is the smallest coordinate r <= i (0-based) with
-    b_r > 0, or 0 when there is none.
     """
 
     degrees: tuple[int, ...]
-    first_immigration: tuple[int, ...]
 
 
 def growth_exponents(a, b) -> GrowthExponents:
@@ -206,11 +195,7 @@ def growth_exponents(a, b) -> GrowthExponents:
             if np.any(row > 0):
                 best = m + 1
         degrees.append(best)
-    first = []
-    for i in range(uni.p):
-        positive = [r for r in range(i + 1) if b[r] > 0]
-        first.append(positive[0] if positive else 0)
-    return GrowthExponents(degrees=tuple(degrees), first_immigration=tuple(first))
+    return GrowthExponents(degrees=tuple(degrees))
 
 
 def leading_asymptotic(model: GwiModel, i: int) -> tuple[int, float]:

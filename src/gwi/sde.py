@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DegenerateLawError, ValidationError
 from .model import GwiModel, detect_case
 from .moments import growth_exponents
-from .simulate import check_seed
+from .simulate import _integer, check_seed
 
 __all__ = [
     "LimitSystem",
@@ -189,6 +189,7 @@ def _integrate(b, v, sources, dts, record_at, n_paths: int, rng) -> np.ndarray:
     coordinate with sources adds the trapezoid of sum_j a_ij X_j.  Only the
     current state is held between steps.
     """
+    n_paths = _integer(n_paths, "n_paths")
     if n_paths < 1:
         raise ValidationError("the number of paths must be >= 1")
     p = len(b)

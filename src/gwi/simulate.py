@@ -325,12 +325,6 @@ def decomposition_components(
     )
 
 
-def _panel_points(count: int, n: int):
-    """The panels [m/n, (m+1)/n) covering [0, count/n), as (m, width)."""
-    width = Fraction(1, n)
-    return ((m, width) for m in range(count))
-
-
 def weighted_sum_identity_1(f: Callable[[int], float], k: int, n: int):
     """Plain sum vs step-function integral: both sides of
 
@@ -342,7 +336,8 @@ def weighted_sum_identity_1(f: Callable[[int], float], k: int, n: int):
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
     lhs = sum(f(l) for l in range(k + 1))
-    rhs = sum(f(m) * width for m, width in _panel_points(k + 1, n)) * n
+    width = Fraction(1, n)  # every panel [m/n, (m+1)/n) has this width
+    rhs = sum(f(m) * width for m in range(k + 1)) * n
     return lhs, rhs
 
 
@@ -357,7 +352,8 @@ def weighted_sum_identity_2(f: Callable[[int], float], k: int, n: int):
         raise ValidationError("k and n must be >= 1")
     lhs = sum((k - l) * f(l) for l in range(1, k + 1))
     running = _running_sums(f, k)
-    rhs = sum(running[m] * width for m, width in _panel_points(k, n)) * n
+    width = Fraction(1, n)
+    rhs = sum(running[m] * width for m in range(k)) * n
     return lhs, rhs
 
 
@@ -373,9 +369,10 @@ def weighted_sum_identity_3(f: Callable[[int], float], k: int, n: int):
         raise ValidationError("k and n must be >= 1")
     lhs = sum(comb(k - l, 2) * f(l) for l in range(1, k + 1))
     running = _running_sums(f, k)
+    width = Fraction(1, n)
     inner = Fraction(0)  # integral_0^{m/n} F(floor(n s)) ds, one panel at a time
     rhs = Fraction(0)
-    for m, width in _panel_points(k, n):
+    for m in range(k):
         rhs += inner * width
         inner += running[m] * width
     return lhs, rhs * n**2

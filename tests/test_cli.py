@@ -365,6 +365,28 @@ def test_negative_seed_exits_2(tmp_path, case4_model_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize(
+    "law, named",
+    [
+        ({"kind": "poisson", "params": {"lam": "abc"}}, ("poisson", "lam")),
+        (
+            {"kind": "joint_table", "params": {"support": [[1], [2, 3]], "probs": [0.5, 0.5]}},
+            ("joint_table", "support"),
+        ),
+    ],
+    ids=["non-numeric", "ragged"],
+)
+def test_classify_rejects_a_non_numeric_law_parameter(tmp_path, capsys, law, named):
+    document = poisson_case_model(1).to_dict()
+    document["offspring"][0] = law
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    assert main(["classify", "--model", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and all(word in err[0] for word in named), err
+    assert "missing parameter" not in err[0]
+
+
 def test_converge_missing_keys(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"model": "x"}))

@@ -95,21 +95,30 @@ def test_sample_mean_within_four_standard_errors(spec):
     assert np.all(delta <= 4.0 * se + 1e-12)
 
 
+def sum_of_individual_draws(spec, counts, rng):
+    """Reference for ``sample_sum``: row r sums ``counts[r]`` draws of ``spec.sample``."""
+    out = np.zeros((len(counts), spec.dim), dtype=np.int64)
+    for r, m in enumerate(counts):
+        if m > 0:
+            out[r] = spec.sample(int(m), rng).sum(axis=0)
+    return out
+
+
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
 def test_sum_draws_match_individual_draws_in_moments(spec):
     rng = np.random.default_rng(99)
     counts = np.full(200_000, 7, dtype=np.int64)
-    fast = spec.sample_sum(counts, rng, exact_sums=True)
+    fast = spec.sample_sum(counts, rng)
     se = np.sqrt(7 * np.diag(spec.cov()) / counts.size)
     assert np.all(np.abs(fast.mean(axis=0) - 7 * spec.mean()) <= 4.0 * se + 1e-12)
     var_fast = fast.var(axis=0)
     assert np.allclose(var_fast, 7 * np.diag(spec.cov()), rtol=0.05, atol=0.01)
 
 
-def test_sum_draws_individual_path_agrees():
-    spec = Poisson([1.0, 0.5])
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+def test_sum_draws_individual_path_agrees(spec):
     rng = np.random.default_rng(5)
-    slow = spec.sample_sum(np.full(50_000, 5), rng, exact_sums=False)
+    slow = sum_of_individual_draws(spec, np.full(50_000, 5), rng)
     se = np.sqrt(5 * np.diag(spec.cov()) / 50_000)
     assert np.all(np.abs(slow.mean(axis=0) - 5 * spec.mean()) <= 4.0 * se)
 
@@ -144,3 +153,35 @@ def test_spec_from_dict_rejects_unknown_kind():
         spec_from_dict({"params": {}})
     with pytest.raises(ValidationError):
         spec_from_dict({"kind": "poisson", "params": {}})
+
+
+@pytest.mark.parametrize(
+    "kind, params, bad",
+    [
+        ("poisson", {"lam": "abc"}, "lam"),
+        ("poisson", {"lam": [1.0, None]}, "lam"),
+        ("joint_table", {"support": [[1], [2, 3]], "probs": [0.5, 0.5]}, "support"),
+        ("joint_table", {"support": [[1], [2]], "probs": {"a": 1}}, "probs"),
+    ],
+)
+def test_spec_from_dict_names_a_non_numeric_parameter(kind, params, bad):
+    with pytest.raises(ValidationError, match=f"'{bad}' of kind '{kind}'"):
+        spec_from_dict({"kind": kind, "params": params})
+
+
+PARAM_NAMES = {
+    "deterministic": ["c"],
+    "poisson": ["lam"],
+    "bernoulli": ["p"],
+    "geometric": ["p"],
+    "joint_table": ["support", "probs"],
+}
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.kind)
+def test_json_form_lists_each_parameter(spec):
+    payload = spec.to_dict()
+    assert list(payload) == ["kind", "params"] and payload["kind"] == spec.kind
+    assert list(payload["params"]) == PARAM_NAMES[spec.kind]
+    for name, value in payload["params"].items():
+        assert value == getattr(spec, name).tolist()

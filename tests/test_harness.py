@@ -274,6 +274,34 @@ def test_growth_fit_and_convergence_reject_bad_seeds():
     assert np.array_equal(a.estimates, b.estimates)
 
 
+def test_growth_fit_rejects_non_integer_sizes():
+    model = single_type_poisson()
+    for sizes in ([2.7, 4.9], [4.0, 8], ["4"]):
+        with pytest.raises(ValidationError, match="n_list"):
+            growth_fit(model, "sup_sum_sq", sizes, 4, seed=0)
+    a = growth_fit(model, "sup_sum_sq", [np.int64(4), np.uint16(8)], 4, seed=3)
+    assert a.sizes == (4, 8)
+    assert np.array_equal(a.estimates, growth_fit(model, "sup_sum_sq", [4, 8], 4, seed=3).estimates)
+
+
+def test_convergence_experiment_rejects_non_integer_sizes_and_path_counts():
+    model = poisson_case_model(1)
+    with pytest.raises(ValidationError, match="n_list"):
+        run_convergence_experiment(model, 1, [20.9], 1000, [1.0], 1000, seed=0, dt=0.05)
+    with pytest.raises(ValidationError, match="n_paths"):
+        run_convergence_experiment(model, 1, [20], 1000, [1.0], 10.0, seed=0, dt=0.05)
+    report = run_convergence_experiment(model, 1, [np.int64(20)], 1000, [1.0], 10, seed=0, dt=0.05)
+    assert report.n_list == (20,)
+
+
+def test_scaled_step_process_divides_by_the_power_of_n():
+    states = np.array([[0, 0, 0], [3, 7, 11], [5, 13, 17]])
+    proc = ScaledStepProcess(n=3, exponents=(1, 2, 3), states=states)
+    for t, k in ((0.4, 1), (0.7, 2)):
+        expected = states[k] / np.array([3.0, 9.0, 27.0])
+        assert np.array_equal(proc(t), expected)
+
+
 def test_growth_fit_rejects_unknown_quantity():
     with pytest.raises(ValidationError):
         growth_fit(single_type_poisson(), "sixth_moment", [8], 100, seed=0)

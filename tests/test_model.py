@@ -9,16 +9,19 @@ from gwi import (
     Deterministic,
     JointTable,
     Poisson,
+    UnipotentMatrix,
     ValidationError,
     accessible,
     build_model,
     classify_criticality,
     detect_case,
+    growth_exponents,
     is_strongly_critical,
     load_model,
     reducible_normal_form,
     save_model,
     spectral_radius,
+    unipotent_power,
 )
 from util import poisson_case_model, random_unipotent
 
@@ -220,6 +223,45 @@ def test_detect_case_rejects_non_unipotent():
         detect_case([[1, 0.5, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValidationError):
         detect_case(np.eye(2))
+
+
+def _pattern4_with(row: int, col: int, value: float) -> np.ndarray:
+    a = np.eye(3)
+    a[1, 0], a[2, 1] = 0.5, 0.5
+    a[row, col] = value
+    return a
+
+
+# ZERO_TOL = 1e-12 bounds both |diag - 1| and |upper entry|
+UNIPOTENT_EDGE = [
+    pytest.param(_pattern4_with(1, 1, 1 + 5e-13), True, id="diag+5e-13"),
+    pytest.param(_pattern4_with(1, 1, 1 - 5e-13), True, id="diag-5e-13"),
+    pytest.param(_pattern4_with(1, 1, 1 + 2e-12), False, id="diag+2e-12"),
+    pytest.param(_pattern4_with(1, 1, 1 - 2e-12), False, id="diag-2e-12"),
+    pytest.param(_pattern4_with(0, 2, 5e-13), True, id="upper5e-13"),
+    pytest.param(_pattern4_with(0, 2, 2e-12), False, id="upper2e-12"),
+    pytest.param(np.eye(3)[:2], False, id="non-square"),
+]
+
+
+@pytest.mark.parametrize("a, accepted", UNIPOTENT_EDGE)
+def test_lower_unipotent_rule_at_its_tolerance_edge(a, accepted):
+    checks = [
+        lambda: UnipotentMatrix(a),
+        lambda: unipotent_power(a, 3),
+        lambda: growth_exponents(a, np.ones(a.shape[0])),
+        lambda: detect_case(a),
+    ]
+    for check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValidationError):
+                check()
+    if a.shape[0] == a.shape[1]:
+        # column i of A is the Poisson rate vector of type-i offspring
+        model = build_model([Poisson(a[:, i]) for i in range(3)], Poisson([1.0, 1.0, 1.0]))
+        assert model.is_lower_unipotent() is accepted
 
 
 def test_accessible_examples():

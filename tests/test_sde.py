@@ -286,6 +286,20 @@ def test_limit_system_rejects_negative_and_non_integer_seeds():
     )
 
 
+def test_float_path_counts_are_rejected():
+    system = besq_system(1.0, 1.0)
+    grid = make_grid(0.1, 0.01)
+    for count in (2.5, 10.0, "3"):
+        with pytest.raises(ValidationError, match="n_paths"):
+            limit_system_marginals(system, [0.5], 0.1, count, 0)
+        with pytest.raises(ValidationError, match="n_paths"):
+            simulate_limit_system(system, grid, 0, n_paths=count)
+    assert np.array_equal(
+        limit_system_marginals(system, [0.5], 0.1, np.int16(3), 0),
+        limit_system_marginals(system, [0.5], 0.1, 3, 0),
+    )
+
+
 def test_limit_system_determinism():
     model = poisson_case_model(2)
     system = LimitSystem.from_model(model)
