@@ -296,6 +296,8 @@ def spec_from_dict(payload: dict[str, Any]) -> DistributionSpec:
         kwargs = {f.name: params[f.name] for f in fields(cls) if f.init}
     except KeyError as exc:
         raise ValidationError(f"missing parameter for kind {kind!r}: {exc}") from exc
+    except TypeError as exc:  # params is not an object
+        raise ValidationError(f"params of kind {kind!r} must be an object, not {params!r}") from exc
     for name, value in kwargs.items():
         try:
             numeric = np.asarray(value).dtype.kind in "biuf"

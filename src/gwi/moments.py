@@ -131,11 +131,9 @@ class MeanPolynomial:
 
 def mean_polynomial(model: GwiModel, i: int) -> MeanPolynomial:
     """Binomial-basis coefficients of E X_{k, i} (0-based coordinate ``i``)."""
-    if not model.is_lower_unipotent():
-        raise ValidationError("mean polynomial requires a lower-unipotent mean matrix")
+    uni = UnipotentMatrix(model.A)
     if not (0 <= i < model.p):
         raise ValidationError(f"coordinate must be in 0..{model.p - 1}")
-    uni = UnipotentMatrix(model.A)
     coeffs = tuple(
         float(np.asarray(uni.c_powers[m], dtype=float)[i] @ model.b)
         for m in range(model.p)
@@ -220,8 +218,6 @@ def moment_growth_targets(model: GwiModel) -> dict:
     delta row (they receive offspring from their own type only); other rows
     get no fourth-moment target.
     """
-    if not model.is_lower_unipotent():
-        raise ValidationError("growth targets require a lower-unipotent mean matrix")
     exps = growth_exponents(model.A, model.b)
     degrees = exps.degrees
     p = model.p

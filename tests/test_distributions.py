@@ -153,6 +153,9 @@ def test_spec_from_dict_rejects_unknown_kind():
         spec_from_dict({"params": {}})
     with pytest.raises(ValidationError):
         spec_from_dict({"kind": "poisson", "params": {}})
+    for params in ([1.0], "abc", 3):
+        with pytest.raises(ValidationError, match="must be an object"):
+            spec_from_dict({"kind": "poisson", "params": params})
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from gwi import (
     growth_exponents,
     is_strongly_critical,
     load_model,
+    mean_polynomial,
+    moment_growth_targets,
     reducible_normal_form,
     save_model,
     spectral_radius,
@@ -252,16 +254,17 @@ def test_lower_unipotent_rule_at_its_tolerance_edge(a, accepted):
         lambda: growth_exponents(a, np.ones(a.shape[0])),
         lambda: detect_case(a),
     ]
+    if a.shape[0] == a.shape[1]:
+        # column i of A is the Poisson rate vector of type-i offspring
+        model = build_model([Poisson(a[:, i]) for i in range(3)], Poisson([1.0, 1.0, 1.0]))
+        assert model.is_lower_unipotent() is accepted
+        checks += [lambda: mean_polynomial(model, 0), lambda: moment_growth_targets(model)]
     for check in checks:
         if accepted:
             check()
         else:
             with pytest.raises(ValidationError):
                 check()
-    if a.shape[0] == a.shape[1]:
-        # column i of A is the Poisson rate vector of type-i offspring
-        model = build_model([Poisson(a[:, i]) for i in range(3)], Poisson([1.0, 1.0, 1.0]))
-        assert model.is_lower_unipotent() is accepted
 
 
 def test_accessible_examples():
