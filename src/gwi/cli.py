@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``classify``, ``simulate``, ``moments``, ``sde``, ``identities``,
-``converge``.  Every output artifact carries a provenance header (package
-version, seed, hash of the resolved configuration); reruns with the same seed
-are byte-identical except for the ``timestamp`` field of JSON reports, which
-is excluded from the determinism contract.
+``converge``.  Every output artifact carries a provenance header: package
+version, seed, hash of the resolved configuration, and the bit generator and
+numpy and scipy versions on which seeded streams depend.  Reruns with the
+same seed are byte-identical except for the ``timestamp`` field of JSON
+reports, which is excluded from the determinism contract.
 
 Exit codes: 0 success, 2 validation/configuration error (single-line message
 on stderr), 1 runtime failure.
@@ -23,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import GwiError, ValidationError
@@ -59,6 +61,10 @@ def _provenance(args: argparse.Namespace, *, timestamp: bool = False) -> dict:
         "version": __version__,
         "seed": args.seed,
         "config_sha256": _config_hash(options),
+        # seeded streams depend on the bit generator and on numpy's samplers
+        "bit_generator": type(np.random.default_rng(0).bit_generator).__name__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     if timestamp:
         out["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -75,8 +81,8 @@ def _write_csv(path, provenance: dict, fieldnames, body, extra_comments=()) -> N
     """Provenance comments, the header row, then ``body``: blocks of rendered CSV lines."""
     handle, close = _open_out(path)
     try:
-        for key in ("version", "seed", "config_sha256"):
-            handle.write(f"# {key}={provenance[key]}\n")
+        for key, value in provenance.items():
+            handle.write(f"# {key}={value}\n")
         for line in extra_comments:
             handle.write(f"# {line}\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -139,33 +145,30 @@ def _require_csv(args) -> None:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model)
-    cid = detect_case(model.A)
-    exps = growth_exponents(model.A, model.b)
     record = {
-        "case": cid.value,
-        "permutation": [p + 1 for p in cid.permutation],
-        "growth_degrees": list(exps.degrees),
+        "case": None,
+        "permutation": None,
+        "growth_degrees": None,
         "criticality": classify_criticality(model.A),
         "strongly_critical": is_strongly_critical(model.A),
     }
-    perm_note = "" if cid.is_identity else f", normalizing permutation {record['permutation']}"
-    print(f"case {cid.value}{perm_note}, exponents {tuple(exps.degrees)}, {record['criticality']}")
+    # the sign patterns and growth degrees are defined for 3x3 lower-unipotent A only
+    if model.p == 3 and model.is_lower_unipotent():
+        cid = detect_case(model.A)
+        record["case"] = cid.value
+        record["permutation"] = [p + 1 for p in cid.permutation]
+        record["growth_degrees"] = list(growth_exponents(model.A, model.b).degrees)
+        perm_note = "" if cid.is_identity else f", normalizing permutation {record['permutation']}"
+        summary = f"case {cid.value}{perm_note}, exponents {tuple(record['growth_degrees'])}"
+    else:
+        summary = "no sign pattern (mean matrix is not 3x3 lower unipotent)"
+    print(f"{summary}, {record['criticality']}")
     if args.out:
         if args.format == "json":
             _write_json(args.out, {"provenance": _provenance(args, timestamp=True), **record})
         else:
-            _write_csv(
-                args.out,
-                _provenance(args),
-                ["case", "permutation", "growth_degrees", "criticality", "strongly_critical"],
-                _csv_rows([[
-                    record["case"],
-                    " ".join(map(str, record["permutation"])),
-                    " ".join(map(str, record["growth_degrees"])),
-                    record["criticality"],
-                    record["strongly_critical"],
-                ]]),
-            )
+            row = [" ".join(map(str, v)) if isinstance(v, list) else v for v in record.values()]
+            _write_csv(args.out, _provenance(args), list(record), _csv_rows([row]))
     return 0
 
 

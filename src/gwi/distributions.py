@@ -298,6 +298,9 @@ def spec_from_dict(payload: dict[str, Any]) -> DistributionSpec:
         raise ValidationError(f"missing parameter for kind {kind!r}: {exc}") from exc
     except TypeError as exc:  # params is not an object
         raise ValidationError(f"params of kind {kind!r} must be an object, not {params!r}") from exc
+    unknown = ", ".join(sorted(repr(str(key)) for key in set(params) - set(kwargs)))
+    if unknown:
+        raise ValidationError(f"unknown parameter {unknown} for kind {kind!r}")
     for name, value in kwargs.items():
         try:
             numeric = np.asarray(value).dtype.kind in "biuf"

@@ -82,18 +82,13 @@ class GwiModel:
         return self.b.size
 
     @cached_property
-    def poisson_rates(self) -> np.ndarray | None:
-        """Rates of an all-Poisson model, shape (p + 1, p); ``None`` for any other law.
+    def all_poisson(self) -> bool:
+        """True iff every offspring law and the immigration law is ``Poisson``.
 
-        Row i < p is the offspring rate vector of type i, row p the
-        immigration rates.  Derived on first use and kept read-only.
+        Then column i of ``A`` is the offspring rate vector of type i and
+        ``b`` the immigration rates.
         """
-        laws = (*self.offspring, self.immigration)
-        if not all(isinstance(law, Poisson) for law in laws):
-            return None
-        table = np.stack([law.lam for law in laws])
-        table.setflags(write=False)
-        return table
+        return all(isinstance(law, Poisson) for law in (*self.offspring, self.immigration))
 
     def is_lower_unipotent(self) -> bool:
         return _lower_unipotent(self.A)

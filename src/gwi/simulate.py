@@ -145,25 +145,23 @@ def simulate_replicas(
 def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One generation for a batch of replicas, shape (replicas, p) -> same.
 
-    Draw order is fixed, so results are reproducible for a given generator
-    state: the offspring sums of type 1, ..., type p over all replicas, then
-    the immigration vectors.  An all-Poisson model (``model.poisson_rates``)
-    makes these draws in one ``rng.poisson`` call over the stacked rates,
-    shape (p + 1, replicas, p); numpy fills it in C order with the same
-    per-element sampler, so it consumes the same stream as one call per law.
-    Any other model draws each law with its own ``sample_sum``/``sample``.
+    An all-Poisson model (``model.all_poisson``) draws one variate per
+    replica and coordinate: given X_{k-1} = x, the offspring sums and the
+    immigration are independent Poissons, so their sum is exactly
+    Poisson(A x + b) coordinatewise (superposition), drawn by one
+    ``rng.poisson`` call over the (replicas, p) rates in C order.  Any other
+    model draws each law with its own ``sample_sum``/``sample``: the
+    offspring sums of type 1, ..., type p over all replicas, then the
+    immigration vectors.  Either way the draw order is fixed, so results are
+    reproducible for a given generator state.
     """
     states = np.asarray(states, dtype=np.int64)
     if states.ndim != 2 or states.shape[1] != model.p:
         raise ValidationError(f"states must have shape (replicas, {model.p})")
     if (states > _SAFE_LIMIT).any():
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
-    rates = model.poisson_rates
-    if rates is not None:
-        # one count row per law: the type-i populations, then 1 for immigration
-        counts = np.ones((model.p + 1, states.shape[0]))
-        counts[:-1] = states.T
-        nxt = rng.poisson(counts[:, :, None] * rates[:, None, :]).sum(axis=0)
+    if model.all_poisson:
+        nxt = rng.poisson(states @ model.A.T + model.b)
     else:
         nxt = np.zeros_like(states)
         for i, spec in enumerate(model.offspring):

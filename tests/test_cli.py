@@ -74,6 +74,51 @@ def test_classify_writes_json(tmp_path, case4_model_path):
     assert payload["growth_degrees"] == [1, 2, 3]
 
 
+def test_classify_reports_criticality_of_any_model(tmp_path, capsys):
+    # subcritical and not unipotent: A = diag(0.5) + 0.2 e21
+    specs = [Poisson([0.5, 0.2, 0.0]), Poisson([0.0, 0.5, 0.0]), Poisson([0.0, 0.0, 0.5])]
+    path = tmp_path / "sub.json"
+    save_model(build_model(specs, Poisson([1.0, 1.0, 1.0])), path)
+    out = tmp_path / "sub_out.json"
+    assert main(["classify", "--model", str(path), "--out", str(out), "--format", "json"]) == 0
+    assert "subcritical" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["criticality"] == "subcritical" and payload["strongly_critical"] is False
+    assert payload["case"] is None and payload["permutation"] is None
+    assert payload["growth_degrees"] is None
+    rows = list(csv.reader(io.StringIO(read_without_comments(_classify_csv(tmp_path, path)))))
+    assert rows == [
+        ["case", "permutation", "growth_degrees", "criticality", "strongly_critical"],
+        ["", "", "", "subcritical", "False"],
+    ]
+    # lower unipotent but with two types: critical, with no sign pattern
+    two_types = tmp_path / "two.json"
+    save_model(build_model([Poisson([1.0, 0.5]), Poisson([0.0, 1.0])], Poisson([1.0, 1.0])), two_types)
+    rows = list(csv.reader(io.StringIO(read_without_comments(_classify_csv(tmp_path, two_types)))))
+    assert rows[1] == ["", "", "", "critical", "True"]
+
+
+def _classify_csv(tmp_path, model_path) -> Path:
+    out = tmp_path / "classify.csv"
+    assert main(["classify", "--model", str(model_path), "--out", str(out)]) == 0
+    return out
+
+
+def test_provenance_names_the_bit_generator_and_library_versions(tmp_path, case4_model_path):
+    import scipy
+
+    expected = {"bit_generator": "PCG64", "numpy": np.__version__, "scipy": scipy.__version__}
+    out = tmp_path / "case.json"
+    assert main(["classify", "--model", case4_model_path, "--out", str(out), "--format", "json"]) == 0
+    provenance = json.loads(out.read_text())["provenance"]
+    assert {key: provenance[key] for key in expected} == expected
+    comments = [
+        line for line in _classify_csv(tmp_path, case4_model_path).read_text().splitlines()
+        if line.startswith("#")
+    ]
+    assert comments[3:] == [f"# {key}={value}" for key, value in expected.items()]
+
+
 def test_classify_missing_model_exits_2(tmp_path):
     assert main(["classify", "--model", str(tmp_path / "nope.json")]) == 2
 
@@ -186,7 +231,7 @@ def test_simulate_csv_bytes_match_csv_writer(tmp_path):
         path = tmp_path / "split" / f"replica_{t.replica:05d}.csv"
         rows = [[k, *t.states[k]] for k in range(31)]
         assert read_without_comments(path) == csv_reference(["k", *header], rows)
-        assert Path(path).read_text().splitlines()[3] == f"# replica={t.replica}"
+        assert Path(path).read_text().splitlines()[6] == f"# replica={t.replica}"
 
 
 def test_sde_csv_bytes_match_csv_writer(tmp_path):
@@ -339,7 +384,7 @@ def test_converge_subcommand(tmp_path, case4_model_path):
     assert report["case"] == 4
     assert len(report["entries"]) == 6
     csv_text = (tmp_path / "exp" / "report.csv").read_text()
-    assert csv_text.splitlines()[3].startswith("n,t,coordinate")
+    assert csv_text.splitlines()[6].startswith("n,t,coordinate")
 
     # rerun is identical modulo the timestamp
     assert main(["converge", "--config", str(cfg_path)]) == 0
@@ -385,6 +430,16 @@ def test_classify_rejects_a_non_numeric_law_parameter(tmp_path, capsys, law, nam
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and all(word in err[0] for word in named), err
     assert "missing parameter" not in err[0]
+
+
+def test_classify_rejects_an_unknown_law_parameter(tmp_path, capsys):
+    document = poisson_case_model(1).to_dict()
+    document["offspring"][0] = {"kind": "poisson", "params": {"lam": [1.0], "lamda": [2.0]}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    assert main(["classify", "--model", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'lamda'" in err[0] and "'poisson'" in err[0], err
 
 
 def test_converge_missing_keys(tmp_path):

@@ -172,6 +172,15 @@ def test_spec_from_dict_names_a_non_numeric_parameter(kind, params, bad):
         spec_from_dict({"kind": kind, "params": params})
 
 
+def test_spec_from_dict_rejects_unknown_parameters():
+    with pytest.raises(ValidationError, match="unknown parameter 'lamda' for kind 'poisson'"):
+        spec_from_dict({"kind": "poisson", "params": {"lam": [1.0], "lamda": [2.0]}})
+    with pytest.raises(ValidationError, match="unknown parameter 'weights'"):
+        spec_from_dict(
+            {"kind": "joint_table", "params": {"support": [[1]], "probs": [1.0], "weights": [1.0]}}
+        )
+
+
 PARAM_NAMES = {
     "deterministic": ["c"],
     "poisson": ["lam"],

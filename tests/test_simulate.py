@@ -131,7 +131,7 @@ def test_overflow_guard_trips():
 
 def test_overflow_guard_trips_on_all_poisson_model():
     model = poisson_case_model(4)
-    assert model.poisson_rates is not None
+    assert model.all_poisson
     with pytest.raises(OverflowGuardError):
         simulate_trajectory(model, 3, seed=0, initial=[0, 2**53 + 1, 0])
     with pytest.raises(OverflowGuardError):
@@ -194,26 +194,6 @@ def test_record_at_rejects_non_integer_entries():
     assert np.array_equal(recorded, full[:, [2, 5], :])
 
 
-def test_stacked_poisson_draw_consumes_the_stream_like_sequential_draws():
-    # step_ensemble relies on this numpy contract: one rng.poisson over stacked
-    # rate slabs gives the values of the slabs drawn one after the other, and
-    # leaves the generator in the same state.  numpy switches sampler at rate
-    # 10 and draws nothing for rate 0, so all three kinds are mixed here.
-    rates_rng = np.random.default_rng(5)
-    for laws, replicas, p in ((2, 1, 1), (4, 1, 3), (4, 7, 3), (7, 5, 6)):
-        rates = rates_rng.choice([0.0, 0.3, 2.5, 9.99, 10.0, 37.5, 1e4], size=(laws, replicas, p))
-        rates *= rates_rng.uniform(0.5, 1.5, size=rates.shape)
-        rates[-1] = rates[-1, 0]  # the immigration slab repeats one rate vector
-        for seed in range(4):
-            fused_rng, slab_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            fused = fused_rng.poisson(rates)
-            slabs = [slab_rng.poisson(slab) for slab in rates[:-1]]
-            # the per-law path draws immigration with size= over broadcast rates
-            slabs.append(slab_rng.poisson(rates[-1, 0], size=(replicas, p)))
-            assert np.array_equal(fused, np.stack(slabs))
-            assert fused_rng.random() == slab_rng.random()
-
-
 def _per_law_step(model, states, rng):
     nxt = np.zeros_like(states)
     for i, spec in enumerate(model.offspring):
@@ -221,31 +201,46 @@ def _per_law_step(model, states, rng):
     return nxt + model.immigration.sample(states.shape[0], rng)
 
 
-def test_step_ensemble_matches_per_law_draws_on_all_poisson_models():
+def test_step_ensemble_draws_the_poisson_transition_law_on_all_poisson_models():
+    # Given X_{k-1} = x, X_k of an all-Poisson model is Poisson(A x + b) per
+    # coordinate.  One generation from a fixed state over many replicas must
+    # have that mean and variance: each of the at most 126 two-sided
+    # comparisons below allows 5 standard errors, so a correct sampler fails
+    # one with probability below 126 * 5.7e-7 < 1e-4 (normal approximation).
     model_rng = np.random.default_rng(2024)
+    replicas = 20_000
     for p in range(1, 7):
         for _ in range(3):
-            # structural zeros anywhere; immigration rates reach past 10
+            # structural zeros anywhere; rates reach past numpy's switch at 10
             offspring = model_rng.uniform(0.0, 1.2, size=(p, p)) * (model_rng.random((p, p)) < 0.6)
             immigration = model_rng.uniform(0.0, 15.0, size=p) * (model_rng.random(p) < 0.7)
             model = build_model([Poisson(col) for col in offspring], Poisson(immigration))
-            assert model.poisson_rates is not None
+            assert model.all_poisson
             initial = model_rng.integers(0, 20, size=p)
             seed = int(model_rng.integers(2**32))
-            fused_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            fused = loop = np.tile(initial, (3, 1))
+            drawn = step_ensemble(model, np.tile(initial, (replicas, 1)), np.random.default_rng(seed))
+            assert drawn.shape == (replicas, p) and drawn.dtype == np.int64
+            rate = offspring.T @ initial + immigration  # the exact A x + b
+            zero = rate == 0.0
+            assert np.all(drawn[:, zero] == 0)
+            mean = drawn.mean(axis=0)[~zero]
+            var = drawn.var(axis=0, ddof=1)[~zero]
+            lam = rate[~zero]
+            # var of a Poisson(lam) sample variance: (mu4 - sigma^4) / R = (lam + 2 lam^2) / R
+            assert np.all(np.abs(mean - lam) <= 5.0 * np.sqrt(lam / replicas)), (mean, lam)
+            assert np.all(np.abs(var - lam) <= 5.0 * np.sqrt((lam + 2 * lam**2) / replicas)), (var, lam)
+            # stream_ensemble advances by step_ensemble from one generator
+            rng = np.random.default_rng(seed)
+            state = np.tile(initial, (3, 1))
             for _ in range(8):
-                fused = step_ensemble(model, fused, fused_rng)
-                loop = _per_law_step(model, loop, loop_rng)
-                assert np.array_equal(fused, loop)
-            assert fused_rng.random() == loop_rng.random()
+                state = step_ensemble(model, state, rng)
             stream = list(stream_ensemble(model, 8, 3, seed, initial=initial))
-            assert np.array_equal(stream[-1], fused)
+            assert np.array_equal(stream[-1], state)
 
 
 def test_models_with_other_laws_draw_per_law():
     model = build_model([Poisson([1.0, 0.5]), Geometric([1.0, 0.5])], Poisson([1.0, 2.0]))
-    assert model.poisson_rates is None
+    assert not model.all_poisson
     rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
     states = np.array([[0, 0], [3, 1]])
     for _ in range(10):
