@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gwi import (
     LimitSystem,
@@ -105,8 +106,6 @@ def _classify_csv(tmp_path, model_path) -> Path:
 
 
 def test_provenance_names_the_bit_generator_and_library_versions(tmp_path, case4_model_path):
-    import scipy
-
     expected = {"bit_generator": "PCG64", "numpy": np.__version__, "scipy": scipy.__version__}
     out = tmp_path / "case.json"
     assert main(["classify", "--model", case4_model_path, "--out", str(out), "--format", "json"]) == 0

@@ -54,10 +54,13 @@ def random_unipotent(rng: np.random.Generator, p: int, *, integer=False, density
     return a
 
 
-def w1_permutation_pvalue(xs, ys, permutations: int = 999) -> float:
+W1_PERMUTATIONS = 999
+
+
+def w1_permutation_pvalue(xs, ys) -> float:
     """Two-sample permutation p-value of the Wasserstein-1 distance.
 
-    (1 + #{permuted W1 >= observed W1}) / (1 + permutations), each permutation
+    (1 + #{permuted W1 >= observed W1}) / (1 + W1_PERMUTATIONS), each permutation
     a random split of the pooled sample into the two sizes, drawn from a
     generator with a fixed seed.  When both samples come from one law the
     p-value is at most alpha with probability at most alpha; with 999
@@ -69,7 +72,7 @@ def w1_permutation_pvalue(xs, ys, permutations: int = 999) -> float:
     observed = wasserstein1(xs, pooled[xs.size :])
     rng = np.random.default_rng(0)
     reached = 0
-    for _ in range(permutations):
+    for _ in range(W1_PERMUTATIONS):
         shuffled = rng.permutation(pooled)
         reached += wasserstein1(shuffled[: xs.size], shuffled[xs.size :]) >= observed
-    return (1 + reached) / (1 + permutations)
+    return (1 + reached) / (1 + W1_PERMUTATIONS)
