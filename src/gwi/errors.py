@@ -28,5 +28,6 @@ class OverflowGuardError(GwiError):
     """A simulated population coordinate exceeded the 2**53 guard.
 
     Summed offspring draws are exact only for populations up to 2**53, so the
-    simulator stops there instead of returning inexact states.
+    simulator stops there instead of returning inexact states.  It also stops
+    when a rate or count is past what numpy's samplers can draw.
     """

@@ -220,8 +220,10 @@ def run_convergence_experiment(
     t_points = [float(t) for t in t_points]
     if not n_list or any(n < 1 for n in n_list):
         raise ValidationError("n_list must be nonempty positive integers")
-    if not t_points or any(t <= 0 for t in t_points):
-        raise ValidationError("t_points must be nonempty and positive")
+    if not t_points or not all(0 < t < math.inf for t in t_points):
+        raise ValidationError("t_points must be nonempty, finite and positive")
+    if not 0 < ci_level < 1:
+        raise ValidationError(f"ci_level must lie strictly between 0 and 1, not {ci_level}")
     seed = check_seed(seed, sequence=False)
 
     system = LimitSystem.from_model(model)

@@ -7,11 +7,11 @@ i is the mean offspring vector of a type-i individual), the immigration mean
 vector ``b``, and the covariance matrices ``V[0] = var(immigration)``,
 ``V[i] = var(offspring of type i)``.
 
-The module also classifies criticality by spectral radius, computes the
-reducible normal form (block lower triangular with irreducible diagonal
-blocks, via strongly connected components of the accessibility digraph),
-and detects which of the four sub-diagonal sign patterns a 3-type
-lower-unipotent mean matrix falls into.
+The module also computes one reachability closure of the type digraph and
+reads from it both accessibility and the reducible normal form (block lower
+triangular with irreducible diagonal blocks).  It classifies criticality by
+the spectral radii of those blocks, and detects which of the four
+sub-diagonal sign patterns a 3-type lower-unipotent mean matrix falls into.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .distributions import DistributionSpec, Poisson, spec_from_dict
 from .errors import ValidationError
@@ -147,6 +146,14 @@ def build_model(offspring_specs, immigration_spec: DistributionSpec) -> GwiModel
     return GwiModel(offspring=offspring, immigration=immigration_spec, A=A, b=b, V=tuple(V))
 
 
+def _block_radii(a) -> list[float]:
+    """Perron root of each irreducible diagonal block of the normal form, in order."""
+    return [
+        float(np.max(np.abs(np.linalg.eigvals(block))))
+        for block in reducible_normal_form(a).blocks()
+    ]
+
+
 def spectral_radius(a) -> float:
     """Spectral radius of a nonnegative square matrix.
 
@@ -155,10 +162,7 @@ def spectral_radius(a) -> float:
     triangular matrix has 1x1 blocks, so its radius is read off the diagonal
     exactly.
     """
-    return max(
-        float(np.max(np.abs(np.linalg.eigvals(block))))
-        for block in reducible_normal_form(a).blocks()
-    )
+    return max(_block_radii(a))
 
 
 def classify_criticality(a) -> str:
@@ -196,51 +200,43 @@ class NormalForm:
         return out
 
 
-def reducible_normal_form(a) -> NormalForm:
-    """Strongly-connected-component normal form of a nonnegative matrix.
+def _reach(a: np.ndarray) -> np.ndarray:
+    """Boolean matrix: ``reach[i, j]`` iff type j is reachable from type i.
 
-    Types i, j communicate iff each is reachable from the other in the digraph
-    with an edge j -> i whenever a[i, j] > 0.  The communicating classes are
-    ordered topologically (producers before their descendants' classes, ties
-    broken by smallest original index) so the permuted matrix is block lower
-    triangular.
+    Reachability means (A^l)[j, i] > 0 for some l in 1..p; paths of length at
+    most p suffice, so p - 1 boolean products of the edge matrix give it.
+    """
+    edge = (a > 0).T
+    reach = edge.copy()
+    for _ in range(a.shape[0] - 1):
+        reach |= reach @ edge
+    return reach
+
+
+def reducible_normal_form(a) -> NormalForm:
+    """Normal form of a nonnegative matrix by its communicating classes.
+
+    Types i, j communicate iff each is reachable from the other (see
+    :func:`accessible`).  The classes are placed one at a time: next comes
+    the class with the smallest original index among those that no unplaced
+    class reaches, so producers precede their descendants' classes and the
+    permuted matrix is block lower triangular.
     """
     a = _check_square_nonneg(a)
     p = a.shape[0]
-    # csgraph[u, v] != 0 means edge u -> v; our edge j -> i comes from a[i, j] > 0
-    n_comp, labels = connected_components(
-        (a > 0).T.astype(np.int8), directed=True, connection="strong"
-    )
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for idx, lab in enumerate(labels):
-        members[lab].append(idx)
+    reach = _reach(a)
+    same = reach & reach.T | np.eye(p, dtype=bool)
+    reached = reach & ~same
+    placed = np.zeros(p, dtype=bool)
+    classes: list[np.ndarray] = []
+    while not placed.all():
+        free = ~placed & ~reached[~placed].any(axis=0)
+        members = np.flatnonzero(same[np.argmax(free)])
+        classes.append(members)
+        placed[members] = True
 
-    succ: list[set[int]] = [set() for _ in range(n_comp)]
-    indeg = [0] * n_comp
-    for i in range(p):
-        for j in range(p):
-            if a[i, j] > 0 and labels[i] != labels[j]:
-                if labels[i] not in succ[labels[j]]:
-                    succ[labels[j]].add(labels[i])
-                    indeg[labels[i]] += 1
-
-    ready = sorted(
-        (c for c in range(n_comp) if indeg[c] == 0), key=lambda c: members[c][0]
-    )
-    order: list[int] = []
-    while ready:
-        comp = ready.pop(0)
-        order.append(comp)
-        released = []
-        for nxt in succ[comp]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                released.append(nxt)
-        if released:
-            ready = sorted(ready + released, key=lambda c: members[c][0])
-
-    permutation = tuple(idx for comp in order for idx in members[comp])
-    block_sizes = tuple(len(members[comp]) for comp in order)
+    permutation = tuple(int(idx) for members in classes for idx in members)
+    block_sizes = tuple(len(members) for members in classes)
     perm = np.asarray(permutation)
     matrix = a[np.ix_(perm, perm)]
     matrix.setflags(write=False)
@@ -249,8 +245,7 @@ def reducible_normal_form(a) -> NormalForm:
 
 def is_strongly_critical(a) -> bool:
     """True iff every irreducible diagonal block of the normal form has radius 1."""
-    form = reducible_normal_form(a)
-    return all(abs(spectral_radius(block) - 1.0) <= _CRIT_TOL for block in form.blocks())
+    return all(abs(rho - 1.0) <= _CRIT_TOL for rho in _block_radii(a))
 
 
 @dataclass(frozen=True)
@@ -317,20 +312,13 @@ def detect_case(a, tol: float = ZERO_TOL) -> CaseId:
 def accessible(a, i: int, j: int) -> bool:
     """True iff type ``j`` (0-based) is reachable from type ``i``.
 
-    Reachability means (A^l)[j, i] > 0 for some l in 1..p; paths of length at
-    most p suffice.
+    Reachability means (A^l)[j, i] > 0 for some l in 1..p.
     """
     a = _check_square_nonneg(a)
     p = a.shape[0]
     if not (0 <= i < p and 0 <= j < p):
         raise ValidationError(f"type indices must be in 0..{p - 1}")
-    reach = (a > 0).astype(np.int64)
-    power = reach.copy()
-    for _ in range(p):
-        if power[j, i] > 0:
-            return True
-        power = np.minimum(power @ reach, 1)
-    return False
+    return bool(_reach(a)[i, j])
 
 
 def load_model(path) -> GwiModel:

@@ -111,7 +111,8 @@ def simulate_trajectory(
     The trajectory is the one-replica :func:`stream_ensemble` seeded by
     ``SeedSequence(entropy=seed, spawn_key=(replica,))``.  Raises
     :class:`OverflowGuardError` once a coordinate exceeds 2**53, the largest
-    population whose offspring sums are still drawn exactly.
+    population whose offspring sums are still drawn exactly, or once numpy's
+    samplers cannot draw the next generation.
     """
     seed = check_seed(seed, sequence=False)
     replica = check_seed(replica, "replica", sequence=False)
@@ -153,20 +154,30 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
     model draws each law with its own ``sample_sum``/``sample``: the
     offspring sums of type 1, ..., type p over all replicas, then the
     immigration vectors.  Either way the draw order is fixed, so results are
-    reproducible for a given generator state.
+    reproducible for a given generator state.  A state past 2**53, or one
+    whose rates or counts numpy's samplers reject, raises
+    :class:`OverflowGuardError`.
     """
     states = np.asarray(states, dtype=np.int64)
     if states.ndim != 2 or states.shape[1] != model.p:
         raise ValidationError(f"states must have shape (replicas, {model.p})")
     if (states > _SAFE_LIMIT).any():
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
-    if model.all_poisson:
-        nxt = rng.poisson(states @ model.A.T + model.b)
-    else:
-        nxt = np.zeros_like(states)
-        for i, spec in enumerate(model.offspring):
-            nxt += spec.sample_sum(states[:, i], rng)
-        nxt += model.immigration.sample(states.shape[0], rng)
+    try:
+        if model.all_poisson:
+            nxt = rng.poisson(states @ model.A.T + model.b)
+        else:
+            nxt = np.zeros_like(states)
+            for i, spec in enumerate(model.offspring):
+                nxt += spec.sample_sum(states[:, i], rng)
+            nxt += model.immigration.sample(states.shape[0], rng)
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        if (states < 0).any():
+            raise ValidationError("states must be nonnegative") from exc
+        # numpy rejects a rate or count past what its sampler can draw
+        raise OverflowGuardError(f"population too large for numpy's sampler: {exc}") from exc
     if (nxt < 0).any() or (nxt > _OVERFLOW_LIMIT - 1).any():
         raise OverflowGuardError(f"population coordinate exceeded {_OVERFLOW_LIMIT}")
     return nxt

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,3 +512,37 @@ def test_converge_config_rejects_unknown_keys_and_wrong_types(tmp_path, case4_mo
         assert main(["converge", "--config", str(cfg_path)]) == 2, extra
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, extra
     assert not (tmp_path / "exp").exists()
+
+
+def test_converge_config_rejects_bad_ci_level_and_times(tmp_path, case4_model_path, capsys):
+    cfg_path = tmp_path / "converge.json"
+    base = {"model": case4_model_path, "case": 4, "out_dir": str(tmp_path / "exp")}
+    for extra in ({"ci_level": 1.5}, {"ci_level": -1}, {"t_points": ["nan"]}, {"t_points": ["inf"]}):
+        cfg_path.write_text(json.dumps({**base, **extra}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", str(cfg_path)]) == 2, extra
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, extra
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "offspring",
+    [
+        [{"kind": "poisson", "params": {"lam": [1e7]}}],
+        [{"kind": "geometric", "params": {"p": [1e-7]}}],
+        [
+            {"kind": "poisson", "params": {"lam": [1e7, 0.0]}},
+            {"kind": "geometric", "params": {"p": [0.5, 0.5]}},
+        ],
+    ],
+    ids=["poisson", "geometric", "mixed"],
+)
+def test_simulate_past_numpys_sampler_limit_exits_1(tmp_path, capsys, offspring):
+    p = len(offspring)
+    doc = {"p": p, "offspring": offspring, "immigration": {"kind": "poisson", "params": {"lam": [1.0] * p}}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--model", str(path), "--steps", "10"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "numpy's sampler" in err[0], err

@@ -166,6 +166,16 @@ def test_run_convergence_experiment_replica_floor():
         run_convergence_experiment(model, 1, [20], 500, [1.0], 1000, seed=0)
 
 
+def test_run_convergence_experiment_rejects_bad_ci_level_and_times():
+    model = poisson_case_model(1)
+    for ci_level in (1.5, -1.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValidationError, match="ci_level"):
+            run_convergence_experiment(model, 1, [20], 1000, [1.0], 10, seed=0, ci_level=ci_level)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="t_points"):
+            run_convergence_experiment(model, 1, [20], 1000, [1.0, t], 10, seed=0)
+
+
 def test_run_convergence_normalizes_permuted_patterns():
     model = poisson_case_model(2, subdiagonals=(0.5, 0.0, 0.0))
     report = run_convergence_experiment(

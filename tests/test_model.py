@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwi import (
     Deterministic,
@@ -157,6 +159,48 @@ def test_normal_form_random_property():
             start += size
 
 
+def test_normal_form_places_the_unreached_class_with_the_smallest_member_first():
+    # types 2 and 3 produce each other, type 2 produces type 0; self-loops on 0 and 1
+    a = np.zeros((4, 4))
+    a[3, 2] = a[2, 3] = a[0, 2] = a[0, 0] = a[1, 1] = 1.0
+    form = reducible_normal_form(a)
+    assert form.permutation == (1, 2, 3, 0)
+    assert form.block_sizes == (1, 2, 1)
+
+
+def test_normal_form_breaks_ties_among_ready_classes_by_smallest_index():
+    # chain 1 -> 4 -> 3 -> 0, type 2 isolated
+    a = np.zeros((5, 5))
+    a[4, 1] = a[3, 4] = a[0, 3] = 1.0
+    assert reducible_normal_form(a).permutation == (1, 2, 4, 3, 0)
+
+
+@st.composite
+def permuted_unipotent(draw):
+    """Lower-unipotent A, and a permutation sigma of its types."""
+    p = draw(st.integers(2, 6))
+    rate = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+    a = np.eye(p)
+    for i in range(p):
+        for j in range(i):
+            a[i, j] = draw(rate)
+    return a, np.asarray(draw(st.permutations(range(p))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=permuted_unipotent())
+def test_growth_degrees_are_invariant_under_type_permutations(case):
+    a, sigma = case
+    b = np.ones(a.shape[0])
+    form = reducible_normal_form(a[np.ix_(sigma, sigma)])
+    assert set(form.block_sizes) == {1}
+    degrees = growth_exponents(form.matrix, b).degrees
+    original = growth_exponents(a, b).degrees
+    # position `new` holds type `perm[new]` of the permuted chain: type sigma[perm[new]] of A
+    for new, old in enumerate(form.permutation):
+        assert degrees[new] == original[sigma[old]]
+
+
 def test_is_strongly_critical():
     assert is_strongly_critical(np.eye(3))
     assert not is_strongly_critical([[1, 0], [1, 0.5]])
@@ -277,6 +321,24 @@ def test_accessible_examples():
         assert accessible(case4, i, i)
     with pytest.raises(ValidationError):
         accessible(np.eye(3), 0, 3)
+
+
+def test_accessible_matches_matrix_powers():
+    rng = np.random.default_rng(5)
+    matrices = [np.zeros((2, 2)), np.zeros((1, 1)), np.eye(1), [[0, 1], [1, 0]]]
+    for _ in range(60):
+        p = int(rng.integers(1, 7))
+        a = (rng.random((p, p)) < rng.uniform(0.1, 0.5)) * rng.uniform(0.1, 2.0, size=(p, p))
+        matrices.append(a)
+    assert not accessible(np.zeros((2, 2)), 0, 0)
+    for a in matrices:
+        a = np.asarray(a, dtype=float)
+        p = a.shape[0]
+        powers = [np.linalg.matrix_power(a, l) for l in range(1, p + 1)]
+        for i in range(p):
+            for j in range(p):
+                expected = any(power[j, i] > 0 for power in powers)
+                assert accessible(a, i, j) is expected, (a, i, j)
 
 
 def test_model_json_round_trip(tmp_path):

@@ -138,6 +138,20 @@ def test_overflow_guard_trips_on_all_poisson_model():
         step_ensemble(model, np.array([[1, 2, 3], [2**53 + 1, 0, 0]]), np.random.default_rng(0))
 
 
+def test_rates_past_numpys_sampler_limit_raise_the_overflow_guard():
+    # a state of exactly 2**53 passes the state guard, but its rate does not fit numpy
+    model = build_model([Poisson([2000.0])], Poisson([1.0]))
+    with pytest.raises(OverflowGuardError, match="lam value too large"):
+        simulate_trajectory(model, 3, 0, initial=[2**53])
+    geometric = build_model([Geometric([1e-7])], Poisson([1.0]))
+    with pytest.raises(OverflowGuardError):
+        step_ensemble(geometric, np.array([[2**40]]), np.random.default_rng(0))
+    # a negative state is bad input on both draw paths, not an overflow
+    for law in (model, geometric):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            step_ensemble(law, np.array([[-3]]), np.random.default_rng(0))
+
+
 def test_float_steps_and_replicas_are_rejected():
     model = poisson_case_model(2)
     calls = (
