@@ -2,8 +2,9 @@
 
 Subcommands: ``classify``, ``simulate``, ``moments``, ``sde``, ``identities``,
 ``converge``.  Every output artifact carries a provenance header: package
-version, seed, hash of the resolved configuration, and the bit generator and
-numpy and scipy versions on which seeded streams depend.  Reruns with the
+version, seed, hash of the resolved configuration, hash of the model's
+content for subcommands that read one, and the bit generator and numpy and
+scipy versions on which seeded streams depend.  Reruns with the
 same seed are byte-identical except for the ``timestamp`` field of JSON
 reports, which is excluded from the determinism contract.
 
@@ -43,24 +44,27 @@ from .simulate import (
 IDENTITY_GRID_SCALES = (1, 2, 3, 7, 64)
 
 
-def _config_hash(options: dict) -> str:
-    canonical = json.dumps(options, sort_keys=True, default=str)
+def _sha256(document) -> str:
+    canonical = json.dumps(document, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 _NON_SEMANTIC_KEYS = {"func", "out", "config", "threads"}
 
 
-def _provenance(args: argparse.Namespace, *, timestamp: bool = False) -> dict:
-    options = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in _NON_SEMANTIC_KEYS and v is not None
-    }
-    out = {
-        "version": __version__,
-        "seed": args.seed,
-        "config_sha256": _config_hash(options),
+def _provenance(
+    args: argparse.Namespace, model=None, *, options=None, timestamp: bool = False
+) -> dict:
+    """The provenance record; ``options`` (default: the parsed flags) go into
+    ``config_sha256`` and the canonical ``model.to_dict()`` into ``model_sha256``."""
+    if options is None:
+        options = {
+            k: v for k, v in vars(args).items() if k not in _NON_SEMANTIC_KEYS and v is not None
+        }
+    out = {"version": __version__, "seed": args.seed, "config_sha256": _sha256(options)}
+    if model is not None:
+        out["model_sha256"] = _sha256(model.to_dict())
+    out |= {
         # seeded streams depend on the bit generator and on numpy's samplers
         "bit_generator": type(np.random.default_rng(0).bit_generator).__name__,
         "numpy": np.__version__,
@@ -165,10 +169,11 @@ def cmd_classify(args) -> int:
     print(f"{summary}, {record['criticality']}")
     if args.out:
         if args.format == "json":
-            _write_json(args.out, {"provenance": _provenance(args, timestamp=True), **record})
+            provenance = _provenance(args, model, timestamp=True)
+            _write_json(args.out, {"provenance": provenance, **record})
         else:
             row = [" ".join(map(str, v)) if isinstance(v, list) else v for v in record.values()]
-            _write_csv(args.out, _provenance(args), list(record), _csv_rows([row]))
+            _write_csv(args.out, _provenance(args, model), list(record), _csv_rows([row]))
     return 0
 
 
@@ -186,7 +191,7 @@ def cmd_simulate(args) -> int:
         for traj in trajectories:
             _write_csv(
                 str(base / f"replica_{traj.replica:05d}.csv"),
-                _provenance(args),
+                _provenance(args, model),
                 ["k", *header],
                 [_numeric_rows("", generations, traj.states, "%d")],
                 extra_comments=[f"replica={traj.replica}"],
@@ -196,7 +201,7 @@ def cmd_simulate(args) -> int:
     body = (
         _numeric_rows(f"{traj.replica},", generations, traj.states, "%d") for traj in trajectories
     )
-    _write_csv(args.out, _provenance(args), ["replica", "k", *header], body)
+    _write_csv(args.out, _provenance(args, model), ["replica", "k", *header], body)
     return 0
 
 
@@ -219,7 +224,7 @@ def cmd_moments(args) -> int:
         _write_json(
             args.out,
             {
-                "provenance": _provenance(args, timestamp=True),
+                "provenance": _provenance(args, model, timestamp=True),
                 "fields": fields,
                 "table": rows,
                 "exponents": exponents,
@@ -229,7 +234,9 @@ def cmd_moments(args) -> int:
         comments = []
         if exponents is not None:
             comments.append(f"exponents={json.dumps(exponents, sort_keys=True)}")
-        _write_csv(args.out, _provenance(args), fields, _csv_rows(rows), extra_comments=comments)
+        _write_csv(
+            args.out, _provenance(args, model), fields, _csv_rows(rows), extra_comments=comments
+        )
     return 0
 
 
@@ -304,15 +311,18 @@ def cmd_converge(args) -> int:
     cfg = {key: _typed(key, value, _CONVERGE_TYPES[key]) for key, value in cfg.items()}
     args.seed = cfg.setdefault("seed", args.seed)
     out_dir = Path(cfg.pop("out_dir"))
-    report = run_convergence_experiment(load_model(cfg.pop("model")), **cfg)
+    model_path = cfg.pop("model")
+    model = load_model(model_path)
+    report = run_convergence_experiment(model, **cfg)
+    # the settings as run, defaults included; out_dir and the config's path are not hashed
+    options = {key: getattr(report, key) for key in _CONVERGE_TYPES.keys() - {"model", "out_dir"}}
+    options.update(command=args.command, model=model_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        str(out_dir / "report.json"),
-        {"provenance": _provenance(args, timestamp=True), **report.to_dict()},
-    )
+    provenance = _provenance(args, model, options=options, timestamp=True)
+    _write_json(str(out_dir / "report.json"), {"provenance": provenance, **report.to_dict()})
     _write_csv(
         str(out_dir / "report.csv"),
-        _provenance(args),
+        _provenance(args, model, options=options),
         list(report.CSV_FIELDS),
         _csv_rows(report.rows()),
     )

@@ -5,6 +5,11 @@ compares their marginals against simulated limit systems (moments,
 two-sample Kolmogorov-Smirnov, Wasserstein-1, and the exact Gamma reference
 for the first coordinate), and fits the polynomial growth exponents of the
 martingale moment bounds on dyadic ranges.
+
+scipy's statistics are imported inside ``ks_two_sample`` and
+``run_convergence_experiment``, the only functions that need a p-value, a
+quantile or a Gamma CDF, so that importing gwi loads numpy but not
+``scipy.stats`` (about 1 s of a fresh interpreter's start).
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import DegenerateLawError, ValidationError
 from .model import GwiModel, detect_case
@@ -91,6 +95,8 @@ def step_integral_functional(step_values, n: int, t: float):
 
 def ks_two_sample(xs, ys) -> tuple[float, float]:
     """Classical two-sample KS statistic sup |F - G| with asymptotic p-value."""
+    from scipy.special import kolmogorov
+
     xs = np.sort(np.asarray(xs, dtype=float))
     ys = np.sort(np.asarray(ys, dtype=float))
     if xs.size == 0 or ys.size == 0:
@@ -100,7 +106,7 @@ def ks_two_sample(xs, ys) -> tuple[float, float]:
     cdf_y = np.searchsorted(ys, pooled, side="right") / ys.size
     statistic = float(np.max(np.abs(cdf_x - cdf_y)))
     en = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
-    p_value = float(special.kolmogorov(en * statistic))
+    p_value = float(kolmogorov(en * statistic))
     return statistic, p_value
 
 
@@ -177,10 +183,6 @@ class ConvergenceReport:
             yield list(astuple(e))
 
 
-def _ci_halfwidth(variance: float, count: int, level: float) -> float:
-    return float(stats.norm.ppf(0.5 + level / 2.0) * math.sqrt(max(variance, 0.0) / count))
-
-
 DEFAULT_N_LIST = (125, 250, 500, 1000, 2000)
 DEFAULT_T_POINTS = (0.25, 0.5, 1.0)
 
@@ -207,6 +209,8 @@ def run_convergence_experiment(
     limit-system ensemble: moments with CIs, two-sample KS, Wasserstein-1,
     and the exact Gamma reference for the first coordinate.
     """
+    from scipy import stats
+
     if model.p != 3:
         raise ValidationError("convergence experiments need a 3-type model")
     cid = detect_case(model.A)
@@ -226,6 +230,7 @@ def run_convergence_experiment(
         raise ValidationError(f"ci_level must lie strictly between 0 and 1, not {ci_level}")
     seed = check_seed(seed, sequence=False)
 
+    z = stats.norm.ppf(0.5 + ci_level / 2.0)  # normal quantile of the CI half-width
     system = LimitSystem.from_model(model)
     exps = np.asarray(system.exponents, dtype=float)
     perm = np.asarray(cid.permutation)
@@ -259,7 +264,7 @@ def run_convergence_experiment(
                 ys = sde_samples[:, ti, c]
                 mean = float(np.mean(xs))
                 variance = float(np.var(xs, ddof=1))
-                half = _ci_halfwidth(variance, replicas, ci_level)
+                half = float(z * math.sqrt(max(variance, 0.0) / replicas))
                 ks_stat, ks_p = ks_two_sample(xs, ys)
                 gamma_stat = gamma_p = None
                 if c == 0 and gamma_law is not None:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
+import gwi
 from gwi import (
     LimitSystem,
     Poisson,
@@ -116,7 +121,8 @@ def test_provenance_names_the_bit_generator_and_library_versions(tmp_path, case4
         line for line in _classify_csv(tmp_path, case4_model_path).read_text().splitlines()
         if line.startswith("#")
     ]
-    assert comments[3:] == [f"# {key}={value}" for key, value in expected.items()]
+    assert comments[3].startswith("# model_sha256=")
+    assert comments[4:] == [f"# {key}={value}" for key, value in expected.items()]
 
 
 def test_classify_missing_model_exits_2(tmp_path):
@@ -231,7 +237,7 @@ def test_simulate_csv_bytes_match_csv_writer(tmp_path):
         path = tmp_path / "split" / f"replica_{t.replica:05d}.csv"
         rows = [[k, *t.states[k]] for k in range(31)]
         assert read_without_comments(path) == csv_reference(["k", *header], rows)
-        assert Path(path).read_text().splitlines()[6] == f"# replica={t.replica}"
+        assert Path(path).read_text().splitlines()[7] == f"# replica={t.replica}"
 
 
 def test_sde_csv_bytes_match_csv_writer(tmp_path):
@@ -384,11 +390,154 @@ def test_converge_subcommand(tmp_path, case4_model_path):
     assert report["case"] == 4
     assert len(report["entries"]) == 6
     csv_text = (tmp_path / "exp" / "report.csv").read_text()
-    assert csv_text.splitlines()[6].startswith("n,t,coordinate")
+    assert csv_text.splitlines()[7].startswith("n,t,coordinate")
 
     # rerun is identical modulo the timestamp
     assert main(["converge", "--config", str(cfg_path)]) == 0
     assert strip_timestamp(tmp_path / "exp" / "report.json") == report
+
+
+def _csv_provenance(path) -> dict:
+    lines = Path(path).read_text().splitlines()
+    return dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+
+
+def _converge_provenance(tmp_path, name, **cfg) -> dict:
+    """Run converge from a config file called ``name`` and return its JSON provenance."""
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / name), **cfg}))
+    assert main(["converge", "--config", str(cfg_path)]) == 0
+    provenance = strip_timestamp(tmp_path / name / "report.json")["provenance"]
+    assert _csv_provenance(tmp_path / name / "report.csv") == {
+        key: str(value) for key, value in provenance.items()
+    }
+    return provenance
+
+
+def test_converge_config_sha256_hashes_the_run_settings(tmp_path, case4_model_path):
+    base = {"model": case4_model_path, "case": 4, "replicas": 1000, "sde_paths": 1000, "dt": 0.01}
+    a = _converge_provenance(tmp_path, "a", n_list=[50, 100], t_points=[0.5, 1.0], seed=1, **base)
+    b = _converge_provenance(tmp_path, "b", n_list=[40], t_points=[1.0], seed=1, **base)
+    assert a["config_sha256"] != b["config_sha256"]
+    # a default spelled out runs the same experiment and hashes the same
+    a_spelled = _converge_provenance(
+        tmp_path, "a_spelled", n_list=[50, 100], t_points=[0.5, 1.0], seed=1, ci_level=0.95, **base
+    )
+    assert a_spelled == a
+
+
+def _canonical_sha256(model) -> str:
+    canonical = json.dumps(model.to_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def test_model_sha256_follows_the_model_file_not_its_path(tmp_path):
+    path = tmp_path / "model.json"
+    cfg_path = tmp_path / "converge.json"
+    cfg_path.write_text(json.dumps({
+        "model": str(path), "case": 4, "n_list": [20], "t_points": [1.0], "replicas": 1000,
+        "sde_paths": 1000, "dt": 0.01, "out_dir": str(tmp_path / "exp"),
+    }))
+    runs = {
+        "classify": (["classify", "--model", str(path), "--format", "json"], "classify.json"),
+        "moments": (["moments", "--model", str(path), "--format", "json"], "moments.json"),
+        "simulate": (["simulate", "--model", str(path), "--steps", "3"], "simulate.csv"),
+    }
+
+    def provenances() -> dict:
+        found = {}
+        for name, (argv, out) in runs.items():
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0
+            if out.endswith(".json"):
+                found[name] = strip_timestamp(tmp_path / out)["provenance"]
+            else:
+                found[name] = _csv_provenance(tmp_path / out)
+        assert main(["converge", "--config", str(cfg_path)]) == 0
+        found["converge"] = strip_timestamp(tmp_path / "exp" / "report.json")["provenance"]
+        return found
+
+    models = [poisson_case_model(4), poisson_case_model(4, immigration=(2.0, 1.0, 1.0))]
+    seen = []
+    for model in models:
+        save_model(model, path)  # the second model overwrites the first at the same path
+        seen.append(provenances())
+        assert {p["model_sha256"] for p in seen[-1].values()} == {_canonical_sha256(model)}
+    assert _canonical_sha256(models[0]) != _canonical_sha256(models[1])
+    for name in seen[0]:
+        assert seen[0][name]["config_sha256"] == seen[1][name]["config_sha256"], name
+
+
+def test_converge_reruns_into_other_directories_match_without_timestamp(
+    tmp_path, case4_model_path
+):
+    cfg = {
+        "model": case4_model_path, "case": 4, "n_list": [20, 40], "t_points": [1.0],
+        "replicas": 1000, "sde_paths": 1000, "dt": 0.01, "seed": 3,
+    }
+    reports = []
+    for i, threads in enumerate(("1", "8")):
+        out_dir = tmp_path / f"conv_{i}"
+        cfg_path = tmp_path / f"conv_{i}.json"
+        cfg_path.write_text(json.dumps({**cfg, "out_dir": str(out_dir)}))
+        assert main(["converge", "--config", str(cfg_path), "--threads", threads]) == 0
+        reports.append(
+            (strip_timestamp(out_dir / "report.json"), (out_dir / "report.csv").read_bytes())
+        )
+    assert reports[0] == reports[1]
+    assert "model_sha256" in reports[0][0]["provenance"]
+
+
+def test_provenance_of_model_free_subcommands_has_no_model_hash(tmp_path):
+    out = tmp_path / "identities.json"
+    assert main(["identities", "--max-k", "5", "--trials", "3", "--out", str(out)]) == 0
+    assert "model_sha256" not in json.loads(out.read_text())["provenance"]
+    out = tmp_path / "sde.csv"
+    assert main(["sde", "--case", "1", "--b1", "1", "--v1", "1", "--out", str(out)]) == 0
+    assert not any(line.startswith("# model_sha256=") for line in out.read_text().splitlines())
+
+
+# runs in a fresh interpreter: gwi.cli's subcommands, then one converge
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import gwi, gwi.cli
+
+model, config = sys.argv[1:]
+statistics = ("scipy.special", "scipy.stats")
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gwi.cli.main(list(argv)) == 0, argv
+
+
+run("classify", "--model", model)
+run("moments", "--model", model, "--max-k", "3")
+run("simulate", "--model", model, "--steps", "3", "--replicas", "2")
+run("sde", "--case", "1", "--b1", "1", "--v1", "1", "--dt", "0.1", "--paths", "2")
+run("identities", "--max-k", "5", "--trials", "3")
+before = [name for name in statistics if name in sys.modules]
+run("converge", "--config", config)
+after = [name for name in statistics if name in sys.modules]
+print(json.dumps([before, after]))
+"""
+
+
+def test_only_statistics_import_scipy_stats(tmp_path, case4_model_path):
+    config = tmp_path / "converge.json"
+    config.write_text(json.dumps({
+        "model": case4_model_path, "case": 4, "n_list": [20], "t_points": [1.0],
+        "replicas": 1000, "sde_paths": 1000, "dt": 0.01, "out_dir": str(tmp_path / "exp"),
+    }))
+    src = str(Path(gwi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, case4_model_path, str(config)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert child.returncode == 0, child.stderr
+    before, after = json.loads(child.stdout)
+    assert before == []
+    assert after == ["scipy.special", "scipy.stats"]
 
 
 def test_negative_seed_exits_2(tmp_path, case4_model_path, capsys):
