@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-Subcommands: ``classify``, ``simulate``, ``moments``, ``sde``, ``identities``,
-``converge``.  Every output artifact carries a provenance header: package
-version, seed, hash of the resolved configuration, hash of the model's
-content for subcommands that read one, and the bit generator and numpy and
-scipy versions on which seeded streams depend.  Reruns with the
-same seed are byte-identical except for the ``timestamp`` field of JSON
-reports, which is excluded from the determinism contract.
+Subcommands and the formats they write to ``--out`` (the first is the default):
+``classify`` and ``moments`` csv or json, ``simulate`` and ``sde`` csv,
+``identities`` json.  ``converge`` writes report.json and report.csv to its
+config's ``out_dir`` and rejects ``--out`` and ``--format``.  One writer
+writes every output file: a provenance header (package version, seed, hash of
+the resolved configuration, hash of the model's content for subcommands that
+read one, and the bit generator and numpy and scipy versions on which seeded
+streams depend), then the body.  Reruns with the same seed are byte-identical
+except for the ``timestamp`` field of JSON reports, which is excluded from the
+determinism contract.
 
 Exit codes: 0 success, 2 validation/configuration error (single-line message
 on stderr), 1 runtime failure.
@@ -51,16 +54,22 @@ def _sha256(document) -> str:
 
 _NON_SEMANTIC_KEYS = {"func", "out", "config", "threads"}
 
+# the formats each subcommand writes, the default first; converge writes
+# report.json and report.csv to its config's out_dir instead
+_FORMATS = {
+    "classify": ("csv", "json"),
+    "moments": ("csv", "json"),
+    "simulate": ("csv",),
+    "sde": ("csv",),
+    "identities": ("json",),
+    "converge": (),
+}
 
-def _provenance(
-    args: argparse.Namespace, model=None, *, options=None, timestamp: bool = False
-) -> dict:
-    """The provenance record; ``options`` (default: the parsed flags) go into
-    ``config_sha256`` and the canonical ``model.to_dict()`` into ``model_sha256``."""
-    if options is None:
-        options = {
-            k: v for k, v in vars(args).items() if k not in _NON_SEMANTIC_KEYS and v is not None
-        }
+
+def _provenance(args: argparse.Namespace, model=None, *, timestamp: bool = False) -> dict:
+    """The provenance record: ``config_sha256`` hashes the flags other than the
+    non-semantic ones and None, ``model_sha256`` the canonical ``model.to_dict()``."""
+    options = {k: v for k, v in vars(args).items() if k not in _NON_SEMANTIC_KEYS and v is not None}
     out = {"version": __version__, "seed": args.seed, "config_sha256": _sha256(options)}
     if model is not None:
         out["model_sha256"] = _sha256(model.to_dict())
@@ -75,25 +84,25 @@ def _provenance(
     return out
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _write(dest, fmt, args, model=None, *, payload=None, fields=(), body=(), notes=None) -> None:
+    """Write one output file, or stdout for ``dest`` None or "-": provenance, then the body.
 
-
-def _write_csv(path, provenance: dict, fieldnames, body, extra_comments=()) -> None:
-    """Provenance comments, the header row, then ``body``: blocks of rendered CSV lines."""
-    handle, close = _open_out(path)
+    JSON is ``{"provenance": ..., **payload}``, its provenance with a timestamp.
+    CSV is the provenance and ``notes`` as ``# key=value`` lines, the header row
+    ``fields``, then ``body``: blocks of rendered CSV lines.
+    """
+    provenance = _provenance(args, model, timestamp=fmt == "json")
+    handle = sys.stdout if dest in (None, "-") else open(dest, "w", newline="")
     try:
-        for key, value in provenance.items():
-            handle.write(f"# {key}={value}\n")
-        for line in extra_comments:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fieldnames)
-        handle.writelines(body)
+        if fmt == "json":
+            json.dump({"provenance": provenance, **payload}, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        else:
+            handle.writelines(f"# {k}={v}\n" for k, v in {**provenance, **(notes or {})}.items())
+            handle.writelines(_csv_rows([fields]))
+            handle.writelines(body)
     finally:
-        if close:
+        if handle is not sys.stdout:
             handle.close()
 
 
@@ -120,16 +129,6 @@ def _numeric_rows(lead: str, keys: list[str], values: np.ndarray, cell: str) -> 
     return template % tuple(values.ravel().tolist())
 
 
-def _write_json(path, payload: dict) -> None:
-    handle, close = _open_out(path)
-    try:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    finally:
-        if close:
-            handle.close()
-
-
 def _threads(value: str) -> int:
     if value == "auto":
         return os.cpu_count() or 1
@@ -140,11 +139,6 @@ def _threads(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("threads must be >= 1")
     return n
-
-
-def _require_csv(args) -> None:
-    if args.format != "csv":
-        raise ValidationError(f"{args.command} writes CSV only, not --format {args.format}")
 
 
 def cmd_classify(args) -> int:
@@ -168,17 +162,13 @@ def cmd_classify(args) -> int:
         summary = "no sign pattern (mean matrix is not 3x3 lower unipotent)"
     print(f"{summary}, {record['criticality']}")
     if args.out:
-        if args.format == "json":
-            provenance = _provenance(args, model, timestamp=True)
-            _write_json(args.out, {"provenance": provenance, **record})
-        else:
-            row = [" ".join(map(str, v)) if isinstance(v, list) else v for v in record.values()]
-            _write_csv(args.out, _provenance(args, model), list(record), _csv_rows([row]))
+        row = [" ".join(map(str, v)) if isinstance(v, list) else v for v in record.values()]
+        body = _csv_rows([row])
+        _write(args.out, args.format, args, model, payload=record, fields=list(record), body=body)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _require_csv(args)
     model = load_model(args.model)
     trajectories = simulate_replicas(model, args.steps, args.seed, args.replicas)
     header = [f"X_{i + 1}" for i in range(model.p)]
@@ -189,19 +179,17 @@ def cmd_simulate(args) -> int:
         base = Path(args.out)
         base.mkdir(parents=True, exist_ok=True)
         for traj in trajectories:
-            _write_csv(
-                str(base / f"replica_{traj.replica:05d}.csv"),
-                _provenance(args, model),
-                ["k", *header],
-                [_numeric_rows("", generations, traj.states, "%d")],
-                extra_comments=[f"replica={traj.replica}"],
+            body = [_numeric_rows("", generations, traj.states, "%d")]
+            _write(
+                base / f"replica_{traj.replica:05d}.csv", args.format, args, model,
+                fields=["k", *header], body=body, notes={"replica": traj.replica},
             )
         print(f"wrote {len(trajectories)} trajectory files to {base}")
         return 0
     body = (
         _numeric_rows(f"{traj.replica},", generations, traj.states, "%d") for traj in trajectories
     )
-    _write_csv(args.out, _provenance(args, model), ["replica", "k", *header], body)
+    _write(args.out, args.format, args, model, fields=["replica", "k", *header], body=body)
     return 0
 
 
@@ -212,82 +200,53 @@ def cmd_moments(args) -> int:
         [k, *(f"{x:.12g}" for x in mean), *(f"{x:.12g}" for x in np.diag(var))]
         for k, (mean, var) in enumerate(zip(means, variances))
     ]
-    exponents = (
-        moment_growth_targets(model) if model.is_lower_unipotent() else None
-    )
+    exponents = moment_growth_targets(model) if model.is_lower_unipotent() else None
     fields = (
         ["k"]
         + [f"EX_{i + 1}" for i in range(model.p)]
         + [f"VarX_{i + 1}{i + 1}" for i in range(model.p)]
     )
-    if args.format == "json":
-        _write_json(
-            args.out,
-            {
-                "provenance": _provenance(args, model, timestamp=True),
-                "fields": fields,
-                "table": rows,
-                "exponents": exponents,
-            },
-        )
-    else:
-        comments = []
-        if exponents is not None:
-            comments.append(f"exponents={json.dumps(exponents, sort_keys=True)}")
-        _write_csv(
-            args.out, _provenance(args, model), fields, _csv_rows(rows), extra_comments=comments
-        )
+    payload = {"fields": fields, "table": rows, "exponents": exponents}
+    notes = None if exponents is None else {"exponents": json.dumps(exponents, sort_keys=True)}
+    _write(
+        args.out, args.format, args, model,
+        payload=payload, fields=fields, body=_csv_rows(rows), notes=notes,
+    )
     return 0
 
 
 def cmd_sde(args) -> int:
-    _require_csv(args)
     system = LimitSystem(
-        case=args.case,
-        b=(args.b1, args.b2, args.b3),
-        v=(args.v1, args.v2, args.v3),
-        a21=args.a21,
-        a31=args.a31,
-        a32=args.a32,
+        case=args.case, b=(args.b1, args.b2, args.b3), v=(args.v1, args.v2, args.v3),
+        a21=args.a21, a31=args.a31, a32=args.a32,
     )
     grid = make_grid(args.horizon, args.dt)
     path = simulate_limit_system(system, grid, args.seed, n_paths=args.paths)
     times = [f"{t:.12g}" for t in grid.tolist()]
     body = (_numeric_rows(f"{p},", times, values, "%.12g") for p, values in enumerate(path.values))
-    _write_csv(args.out, _provenance(args), ["path", "t", "X1", "X2", "X3"], body)
+    _write(args.out, args.format, args, fields=["path", "t", "X1", "X2", "X3"], body=body)
     return 0
 
 
 def cmd_identities(args) -> int:
     if args.max_k < 1 or args.trials < 1:
         raise ValidationError("identities needs --max-k >= 1 and --trials >= 1")
-    rng = np.random.default_rng(check_seed(args.seed))
+    rng = np.random.default_rng(args.seed)
     failures = 0
     for _ in range(args.trials):
         k = int(rng.integers(1, args.max_k + 1))
         n = int(rng.choice(IDENTITY_GRID_SCALES))
         table = rng.integers(-9, 10, size=k + 2)
         f = lambda l: int(table[l])  # noqa: E731
-        for identity in (
-            weighted_sum_identity_1,
-            weighted_sum_identity_2,
-            weighted_sum_identity_3,
-        ):
+        for identity in (weighted_sum_identity_1, weighted_sum_identity_2, weighted_sum_identity_3):
             lhs, rhs = identity(f, k, n)
             if lhs != rhs:
                 failures += 1
     print(f"identities: {args.trials} trials x 3 identities, {failures} failures")
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "provenance": _provenance(args, timestamp=True),
-                "trials": args.trials,
-                "max_k": args.max_k,
-                "scales": list(IDENTITY_GRID_SCALES),
-                "failures": failures,
-            },
-        )
+        scales = list(IDENTITY_GRID_SCALES)
+        payload = dict(trials=args.trials, max_k=args.max_k, scales=scales, failures=failures)
+        _write(args.out, args.format, args, payload=payload)
     return 0 if failures == 0 else 1
 
 
@@ -309,23 +268,19 @@ def cmd_converge(args) -> int:
     if missing:
         raise ValidationError(f"config missing keys: {sorted(missing)}")
     cfg = {key: _typed(key, value, _CONVERGE_TYPES[key]) for key, value in cfg.items()}
-    args.seed = cfg.setdefault("seed", args.seed)
+    cfg.setdefault("seed", args.seed)
     out_dir = Path(cfg.pop("out_dir"))
     model_path = cfg.pop("model")
     model = load_model(model_path)
     report = run_convergence_experiment(model, **cfg)
-    # the settings as run, defaults included; out_dir and the config's path are not hashed
-    options = {key: getattr(report, key) for key in _CONVERGE_TYPES.keys() - {"model", "out_dir"}}
-    options.update(command=args.command, model=model_path)
+    # the settings as run, defaults included, are hashed; out_dir and the config's path are not
+    for key in _CONVERGE_TYPES.keys() - {"model", "out_dir"}:
+        setattr(args, key, getattr(report, key))
+    args.model = model_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance(args, model, options=options, timestamp=True)
-    _write_json(str(out_dir / "report.json"), {"provenance": provenance, **report.to_dict()})
-    _write_csv(
-        str(out_dir / "report.csv"),
-        _provenance(args, model, options=options),
-        list(report.CSV_FIELDS),
-        _csv_rows(report.rows()),
-    )
+    _write(out_dir / "report.json", "json", args, model, payload=report.to_dict())
+    body = _csv_rows(report.rows())
+    _write(out_dir / "report.csv", "csv", args, model, fields=report.CSV_FIELDS, body=body)
     improved = sum(1 for tr in report.trends if tr["improved"])
     print(
         f"case {report.case}: {len(report.entries)} cells, "
@@ -378,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count or 'auto'; accepted for compatibility, has no effect",
     )
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument(
+        "--format", choices=("csv", "json"), help="default: the first format the subcommand writes"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -441,6 +398,14 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config(parser, args)
+    check_seed(args.seed)
+    formats = _FORMATS[args.command]
+    writes = " or ".join(formats) or "to its config's out_dir"
+    if args.out and not formats:
+        raise ValidationError(f"{args.command} writes {writes}, not to --out")
+    if args.format not in (None, *formats):
+        raise ValidationError(f"{args.command} writes {writes}, not --format {args.format}")
+    args.format = args.format or next(iter(formats), None)
     return args.func(args)
 
 
@@ -450,10 +415,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GwiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GwiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

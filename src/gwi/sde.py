@@ -236,8 +236,8 @@ def _grid_indices(t_points, dt: float) -> np.ndarray:
     t_points = np.asarray(t_points, dtype=float)
     if t_points.ndim != 1 or t_points.size == 0 or np.any(t_points < 0):
         raise ValidationError("t_points must be nonnegative and nonempty")
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):  # inf would pass the check below: 0 * inf is nan
+        raise ValidationError("dt must be positive and finite")
     indices = np.round(t_points / dt).astype(int)
     if np.any(np.abs(indices * dt - t_points) > 1e-9):
         raise ValidationError("every t point must lie on the dt grid")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -528,6 +529,77 @@ def test_negative_seed_exits_2(tmp_path, case4_model_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "seed" in err[0], (argv, err)
         assert not out.exists()
+    assert not (tmp_path / "exp").exists()
+
+
+# small runs of each subcommand; {model} and {config} are filled in by the test
+_SMALL_RUNS = {
+    "classify": ["--model", "{model}"],
+    "moments": ["--model", "{model}", "--max-k", "3"],
+    "simulate": ["--model", "{model}", "--steps", "3"],
+    "sde": ["--case", "1", "--b1", "1", "--v1", "1", "--dt", "0.1"],
+    "identities": ["--max-k", "5", "--trials", "3"],
+    "converge": ["--config", "{config}"],
+}
+_WRITES = {
+    ("classify", "csv"), ("classify", "json"), ("moments", "csv"), ("moments", "json"),
+    ("simulate", "csv"), ("sde", "csv"), ("identities", "json"),
+}
+
+
+def _small_run(tmp_path, model_path, command) -> list[str]:
+    config = tmp_path / "converge.json"
+    config.write_text(json.dumps({"model": model_path, "case": 4, "out_dir": str(tmp_path / "exp")}))
+    return [command, *(a.format(model=model_path, config=config) for a in _SMALL_RUNS[command])]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_each_subcommand_writes_its_formats_and_rejects_the_rest(
+    tmp_path, case4_model_path, capsys, command, fmt
+):
+    out = tmp_path / f"out.{fmt}"
+    code = main([*_small_run(tmp_path, case4_model_path, command), "--format", fmt, "--out", str(out)])
+    if (command, fmt) in _WRITES:
+        assert code == 0
+        if fmt == "csv":
+            assert out.read_text().splitlines()[0].startswith("# version=")
+        else:
+            assert "provenance" in json.loads(out.read_text())
+    else:
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists() and not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("identities", ["--format", "csv", "--out", "{out}"]),
+        ("converge", ["--out", "{out}"]),
+        ("converge", ["--format", "json"]),
+    ],
+    ids=["identities-csv", "converge-out", "converge-format"],
+)
+def test_output_flags_a_subcommand_does_not_honour_exit_2(
+    tmp_path, case4_model_path, capsys, command, flags
+):
+    out = tmp_path / "f"
+    argv = _small_run(tmp_path, case4_model_path, command) + [f.format(out=out) for f in flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1 and captured.out == ""
+    assert not out.exists() and not (tmp_path / "exp").exists()
+
+
+def test_converge_rejects_an_infinite_dt(tmp_path, case4_model_path, capsys):
+    cfg_path = tmp_path / "converge.json"
+    cfg = {"model": case4_model_path, "case": 4, "n_list": [20], "t_points": [0.5, 1.0],
+           "replicas": 1000, "sde_paths": 1000, "dt": math.inf, "out_dir": str(tmp_path / "exp")}
+    cfg_path.write_text(json.dumps(cfg))  # json writes inf as Infinity, and reads it back
+    assert main(["converge", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "dt" in err[0], err
     assert not (tmp_path / "exp").exists()
 
 

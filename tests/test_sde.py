@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ def test_marginals_require_grid_alignment():
         limit_system_marginals(system, [0.1234], 1e-2, 10, seed=0)
     with pytest.raises(ValidationError):
         limit_system_marginals(system, [0.5], float("nan"), 10, seed=0)
+
+
+def test_marginals_reject_an_infinite_dt():
+    # 0 * inf is nan: unchecked, an infinite dt passes the on-grid check and gives zeros
+    system = LimitSystem(case=1, b=(1, 1, 1), v=(1, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt in (math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="dt"):
+                limit_system_marginals(system, [0.5, 1.0], dt, 4, 0)
 
 
 def test_limit_system_rejects_negative_and_non_integer_seeds():
