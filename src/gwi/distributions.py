@@ -9,8 +9,14 @@ moments of all orders, and two sampling routines:
 * ``sample_sum(counts, rng)`` draws, for each entry ``m`` of ``counts``, the
   sum of ``m`` i.i.d. vectors.  By default this uses the exact closed-form sum
   distribution (sums of Poissons are Poisson, Bernoulli sums are Binomial,
-  geometric sums are negative binomial, categorical counts are multinomial),
-  distributionally identical to summing individual draws, just vectorized.
+  categorical counts are multinomial, and geometric sums are negative
+  binomial, drawn as a Gamma-mixed Poisson), distributionally identical to
+  summing individual draws, just vectorized.
+
+Poisson and geometric sums are both Poisson given a rate: m times ``lam``
+for :class:`Poisson`, and the Gamma-distributed
+``Geometric.poisson_rate(counts, rng)``.  Conditionally independent Poissons
+superpose, so the branching step adds these rates over laws and draws once.
 
 Parametric kinds have independent coordinates; correlated coordinates require
 :class:`JointTable`.
@@ -186,7 +192,12 @@ class Geometric(DistributionSpec):
     """Independent geometric coordinates on {0, 1, 2, ...}.
 
     Coordinate i counts failures before the first success of probability
-    ``p[i]``, so the mean is (1-p)/p and the variance (1-p)/p^2.
+    ``p[i]``, so the mean is (1-p)/p and the variance (1-p)/p^2.  A sum of m
+    of them is negative binomial, which is exactly a Gamma-mixed Poisson,
+    Poisson(G (1-p)/p) with G ~ Gamma(m, 1) (Devroye 1986, *Non-Uniform Random
+    Variate Generation*, X.4); numpy's ``negative_binomial`` draws it the same
+    way.  ``sample_sum`` draws it so: one Gamma and one Poisson variate per
+    row and coordinate with p < 1.
     """
 
     p: np.ndarray
@@ -213,14 +224,21 @@ class Geometric(DistributionSpec):
         # numpy's geometric lives on {1, 2, ...}; shift to count failures
         return (rng.geometric(self.p, size=(count, self.dim)) - 1).astype(np.int64, copy=False)
 
+    def poisson_rate(self, counts, rng):
+        """Row r is Gamma(counts[r]) * (1-p)/p, one Gamma per coordinate with p < 1.
+
+        The Gammas are drawn in C order over rows and those coordinates.  A
+        coordinate with p = 1, or a row with count 0, gets rate 0 and takes
+        nothing from the stream.
+        """
+        rate = np.zeros((counts.size, self.dim))
+        live = self.p < 1.0
+        odds = (1.0 - self.p[live]) / self.p[live]
+        rate[:, live] = rng.standard_gamma(counts[:, None], size=(counts.size, odds.size)) * odds
+        return rate
+
     def _sum_closed_form(self, counts, rng):
-        # sum of m geometrics is negative binomial; numpy rejects n = 0
-        out = np.zeros((counts.size, self.dim), dtype=np.int64)
-        positive = counts > 0
-        if np.any(positive):
-            n = counts[positive][:, None]
-            out[positive] = rng.negative_binomial(n, self.p[None, :]).astype(np.int64, copy=False)
-        return out
+        return rng.poisson(self.poisson_rate(counts, rng)).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

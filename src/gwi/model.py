@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DistributionSpec, Poisson, spec_from_dict
+from .distributions import DistributionSpec, Geometric, Poisson, spec_from_dict
 from .errors import ValidationError
 
 __all__ = [
@@ -81,13 +81,27 @@ class GwiModel:
         return self.b.size
 
     @cached_property
-    def all_poisson(self) -> bool:
-        """True iff every offspring law and the immigration law is ``Poisson``.
+    def poisson_mixture(self):
+        """How one generation splits into one Poisson draw and per-law draws.
 
-        Then column i of ``A`` is the offspring rate vector of type i and
-        ``b`` the immigration rates.
+        Returns ``(R, c, mixed, other)``.  Column i of R is the rate vector of
+        type i if its offspring law is Poisson and zero otherwise, and c is
+        the immigration rate vector if that law is Poisson and zero
+        otherwise, so R = A and c = b for an all-Poisson model.  ``mixed``
+        lists the Geometric laws and ``other`` the remaining ones, each as
+        ``(law, i)`` in type order, with i = None for the immigration law
+        last.  R and c are None when no law is Poisson or Geometric.
         """
-        return all(isinstance(law, Poisson) for law in (*self.offspring, self.immigration))
+        laws = (*((law, i) for i, law in enumerate(self.offspring)), (self.immigration, None))
+        mixed = tuple(entry for entry in laws if isinstance(entry[0], Geometric))
+        other = tuple(entry for entry in laws if not isinstance(entry[0], (Poisson, Geometric)))
+        if len(other) == len(laws):
+            return None, None, mixed, other
+
+        def rate(law):
+            return law.lam if isinstance(law, Poisson) else np.zeros(self.p)
+
+        return np.column_stack([rate(law) for law in self.offspring]), rate(self.immigration), mixed, other
 
     def is_lower_unipotent(self) -> bool:
         return _lower_unipotent(self.A)

@@ -146,15 +146,18 @@ def simulate_replicas(
 def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One generation for a batch of replicas, shape (replicas, p) -> same.
 
-    An all-Poisson model (``model.all_poisson``) draws one variate per
-    replica and coordinate: given X_{k-1} = x, the offspring sums and the
-    immigration are independent Poissons, so their sum is exactly
-    Poisson(A x + b) coordinatewise (superposition), drawn by one
-    ``rng.poisson`` call over the (replicas, p) rates in C order.  Any other
-    model draws each law with its own ``sample_sum``/``sample``: the
-    offspring sums of type 1, ..., type p over all replicas, then the
-    immigration vectors.  Either way the draw order is fixed, so results are
-    reproducible for a given generator state.  A state past 2**53, or one
+    Given X_{k-1} = x, every law's sum is independent of the others.  Poisson
+    and Geometric sums are Poisson given a rate: x_i times the rates of a
+    Poisson law, Gamma(x_i) (1-p)/p for a Geometric law (a Gamma-mixed
+    Poisson; count 1, an Exp(1), for immigration).  Superposition makes their
+    total one Poisson at the summed rate, drawn by one ``rng.poisson`` call
+    over the (replicas, p) rates.  Its Poisson part is ``x @ R.T + c`` from
+    ``model.poisson_mixture``, which is A x + b for an all-Poisson model: one
+    variate per replica and coordinate.  The draw order is fixed: the Gammas
+    of the Geometric types in type order (C order over replicas and the
+    coordinates with p < 1), the Geometric immigration's, the one Poisson
+    draw, then ``sample_sum`` of every other offspring law in type order and
+    ``sample`` of any other immigration law.  A state past 2**53, or one
     whose rates or counts numpy's samplers reject, raises
     :class:`OverflowGuardError`.
     """
@@ -163,14 +166,19 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
         raise ValidationError(f"states must have shape (replicas, {model.p})")
     if (states > _SAFE_LIMIT).any():
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
+    rates, immigration_rate, mixed, other = model.poisson_mixture
+    replicas = states.shape[0]
     try:
-        if model.all_poisson:
-            nxt = rng.poisson(states @ model.A.T + model.b)
-        else:
+        if rates is None:
             nxt = np.zeros_like(states)
-            for i, spec in enumerate(model.offspring):
-                nxt += spec.sample_sum(states[:, i], rng)
-            nxt += model.immigration.sample(states.shape[0], rng)
+        else:
+            rate = states @ rates.T + immigration_rate
+            for law, i in mixed:
+                counts = np.ones(replicas, dtype=np.int64) if i is None else states[:, i]
+                rate += law.poisson_rate(counts, rng)
+            nxt = rng.poisson(rate)
+        for law, i in other:
+            nxt += law.sample(replicas, rng) if i is None else law.sample_sum(states[:, i], rng)
     except ValidationError:
         raise
     except ValueError as exc:

@@ -130,6 +130,21 @@ def test_sum_draws_zero_counts():
         assert np.all(out[:2] == 0)
 
 
+def test_geometric_sum_draws_nothing_for_p_one_coordinates_or_zero_counts():
+    # a p = 1 coordinate is exactly 0 and takes no Gamma or Poisson draw, so
+    # the live coordinate sees the stream of a one-coordinate law
+    counts = np.array([0, 3, 1, 40])
+    wide = Geometric([0.5, 1.0]).sample_sum(counts, np.random.default_rng(4))
+    narrow = Geometric([0.5]).sample_sum(counts, np.random.default_rng(4))
+    assert np.all(wide[:, 1] == 0)
+    assert np.array_equal(wide[:, :1], narrow)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    out = Geometric([0.3, 0.5, 1.0]).sample_sum(np.zeros(5, dtype=np.int64), rng)
+    assert np.all(out == 0) and out.shape == (5, 3)
+    assert rng.bit_generator.state == before
+
+
 def test_deterministic_sum_is_exact():
     spec = Deterministic([2, 1])
     rng = np.random.default_rng(0)

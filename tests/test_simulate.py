@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gwi import (
+    Bernoulli,
     Deterministic,
     Geometric,
+    JointTable,
     OverflowGuardError,
     Poisson,
     Trajectory,
@@ -131,7 +134,7 @@ def test_overflow_guard_trips():
 
 def test_overflow_guard_trips_on_all_poisson_model():
     model = poisson_case_model(4)
-    assert model.all_poisson
+    assert model.poisson_mixture[2:] == ((), ())  # all Poisson
     with pytest.raises(OverflowGuardError):
         simulate_trajectory(model, 3, seed=0, initial=[0, 2**53 + 1, 0])
     with pytest.raises(OverflowGuardError):
@@ -150,6 +153,13 @@ def test_rates_past_numpys_sampler_limit_raise_the_overflow_guard():
     for law in (model, geometric):
         with pytest.raises(ValidationError, match="nonnegative"):
             step_ensemble(law, np.array([[-3]]), np.random.default_rng(0))
+
+
+def test_geometric_immigration_past_numpys_sampler_limit_raises_the_overflow_guard():
+    # Exp(1) * (1-p)/p with p = 1e-30 is far past the largest Poisson rate numpy draws
+    model = build_model([Poisson([1.0])], Geometric([1e-30]))
+    with pytest.raises(OverflowGuardError, match="numpy's sampler"):
+        step_ensemble(model, np.array([[0], [5]]), np.random.default_rng(0))
 
 
 def test_float_steps_and_replicas_are_rejected():
@@ -229,7 +239,7 @@ def test_step_ensemble_draws_the_poisson_transition_law_on_all_poisson_models():
             offspring = model_rng.uniform(0.0, 1.2, size=(p, p)) * (model_rng.random((p, p)) < 0.6)
             immigration = model_rng.uniform(0.0, 15.0, size=p) * (model_rng.random(p) < 0.7)
             model = build_model([Poisson(col) for col in offspring], Poisson(immigration))
-            assert model.all_poisson
+            assert model.poisson_mixture[2:] == ((), ())  # all Poisson
             initial = model_rng.integers(0, 20, size=p)
             seed = int(model_rng.integers(2**32))
             drawn = step_ensemble(model, np.tile(initial, (replicas, 1)), np.random.default_rng(seed))
@@ -252,15 +262,173 @@ def test_step_ensemble_draws_the_poisson_transition_law_on_all_poisson_models():
             assert np.array_equal(stream[-1], state)
 
 
-def test_models_with_other_laws_draw_per_law():
-    model = build_model([Poisson([1.0, 0.5]), Geometric([1.0, 0.5])], Poisson([1.0, 2.0]))
-    assert not model.all_poisson
-    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-    states = np.array([[0, 0], [3, 1]])
-    for _ in range(10):
-        nxt = step_ensemble(model, states, rng_a)
-        assert np.array_equal(nxt, _per_law_step(model, states, rng_b))
-        states = nxt
+def test_models_without_poisson_or_geometric_laws_draw_per_law():
+    # with no Poisson or Geometric law there is no Poisson draw: each law draws
+    # through its own sample_sum/sample, in type order, then the immigration
+    models = [
+        build_model([Bernoulli([0.5, 0.2]), Bernoulli([0.0, 0.9])], Bernoulli([0.3, 0.7])),
+        build_model(
+            [JointTable([[0, 0], [2, 1], [1, 3]], [0.5, 0.3, 0.2]), Deterministic([0, 1])],
+            JointTable([[1, 0], [0, 2]], [0.4, 0.6]),
+        ),
+        build_model([Deterministic([1, 1]), Bernoulli([0.4, 0.6])], Deterministic([2, 0])),
+        build_model(
+            [Bernoulli([0.7, 0.1]), JointTable([[1, 0], [0, 1], [2, 2]], [0.2, 0.5, 0.3])],
+            Deterministic([0, 1]),
+        ),
+    ]
+    for model in models:
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        states = np.array([[0, 0], [3, 1], [7, 4]])
+        for _ in range(10):
+            nxt = step_ensemble(model, states, rng_a)
+            assert np.array_equal(nxt, _per_law_step(model, states, rng_b))
+            states = nxt
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _sum_cumulants(law, m: int):
+    """kappa_1, kappa_2, kappa_4 per coordinate of the sum of m draws of ``law``."""
+    if isinstance(law, Poisson):
+        return m * law.lam, m * law.lam, m * law.lam
+    if isinstance(law, Geometric):
+        q = 1.0 - law.p
+        return m * q / law.p, m * q / law.p**2, m * q * (1 + 4 * q + q**2) / law.p**4
+    if isinstance(law, Bernoulli):
+        pq = law.p * (1.0 - law.p)
+        return m * law.p, m * pq, m * pq * (1 - 6 * pq)
+    if isinstance(law, Deterministic):
+        return m * law.c.astype(float), np.zeros(law.dim), np.zeros(law.dim)
+    centred = law.support - law.mean()  # JointTable: moments of each coordinate's marginal
+    mu2, mu4 = law.probs @ centred**2, law.probs @ centred**4
+    return m * law.mean(), m * mu2, m * (mu4 - 3 * mu2**2)
+
+
+def _random_law(kind: str, p: int, rng: np.random.Generator):
+    if kind == "poisson":
+        return Poisson(rng.uniform(0.0, 3.0, size=p) * (rng.random(p) < 0.7))
+    if kind == "geometric":
+        return Geometric(np.where(rng.random(p) < 0.3, 1.0, rng.uniform(0.3, 1.0, size=p)))
+    if kind == "bernoulli":
+        return Bernoulli(rng.uniform(0.0, 1.0, size=p))
+    if kind == "deterministic":
+        return Deterministic(rng.integers(0, 3, size=p))
+    support = rng.integers(0, 4, size=(3, p))
+    return JointTable(support, rng.dirichlet(np.ones(3)))
+
+
+def test_step_ensemble_draws_the_transition_law_of_mixed_models():
+    # Models that mix Poisson or Geometric laws with other laws: one
+    # generation from a fixed state must have the exact mean and variance of
+    # the sum of the laws' independent contributions, read off their
+    # cumulants.  Each of the at most 60 two-sided comparisons allows 5
+    # standard errors, so a correct sampler fails one with probability below
+    # 60 * 5.7e-7 < 1e-4 (normal approximation).
+    model_rng = np.random.default_rng(1616)
+    replicas = 20_000
+    kinds = ("poisson", "geometric", "bernoulli", "deterministic", "joint_table")
+    for p in range(1, 5):
+        for _ in range(3):
+            picks = [kinds[k] for k in model_rng.integers(0, len(kinds), size=p + 1)]
+            picks[int(model_rng.integers(p + 1))] = ("poisson", "geometric")[int(model_rng.integers(2))]
+            laws = [_random_law(kind, p, model_rng) for kind in picks]
+            model = build_model(laws[:p], laws[p])
+            assert model.poisson_mixture[0] is not None and model.poisson_mixture[2:] != ((), ())
+            initial = model_rng.integers(0, 20, size=p)
+            seed = int(model_rng.integers(2**32))
+            drawn = step_ensemble(model, np.tile(initial, (replicas, 1)), np.random.default_rng(seed))
+            assert drawn.shape == (replicas, p) and drawn.dtype == np.int64
+            parts = [_sum_cumulants(law, m) for law, m in zip(laws, [*initial, 1])]
+            k1, k2, k4 = (sum(part[j] for part in parts) for j in (0, 1, 2))
+            zero = k2 == 0.0
+            assert np.array_equal(drawn[:, zero], np.tile(k1[zero], (replicas, 1)))
+            mean = drawn.mean(axis=0)[~zero]
+            var = drawn.var(axis=0, ddof=1)[~zero]
+            k1, k2, k4 = k1[~zero], k2[~zero], k4[~zero]
+            # var of a sample variance: (mu4 - sigma^4) / R = (kappa4 + 2 kappa2^2) / R
+            assert np.all(np.abs(mean - k1) <= 5.0 * np.sqrt(k2 / replicas)), (picks, mean, k1)
+            assert np.all(np.abs(var - k2) <= 5.0 * np.sqrt((k4 + 2 * k2**2) / replicas)), (picks, var, k2)
+
+
+def _coordinate_pmf(model, x, j: int, support: int) -> np.ndarray:
+    """Exact pmf on 0..support-1 of coordinate j of X_k given X_{k-1} = x.
+
+    The convolution of every law's sum: Poisson, negative binomial or
+    binomial per offspring type, and the immigration law's coordinate.
+    """
+    ks = np.arange(support)
+    pmf = (ks == 0).astype(float)
+    for law, m in zip((*model.offspring, model.immigration), (*x, 1)):
+        if isinstance(law, Poisson):
+            part = stats.poisson.pmf(ks, m * law.lam[j])
+        elif isinstance(law, Geometric):
+            part = stats.nbinom.pmf(ks, m, law.p[j]) if m > 0 else (ks == 0).astype(float)
+        else:
+            part = stats.binom.pmf(ks, m, law.p[j])
+        pmf = np.convolve(pmf, part)[:support]
+    return pmf
+
+
+def _binned_chi2_pvalue(sample: np.ndarray, pmf: np.ndarray) -> float:
+    """Chi-square p-value of ``sample`` against ``pmf``, bins of >= 20 expected draws.
+
+    Consecutive values are merged until a bin expects 20 draws; the last bin
+    takes every value past the previous ones, its tail mass included.
+    """
+    size = sample.size
+    observed = np.bincount(sample, minlength=pmf.size)
+    edges, acc = [0], 0.0
+    for k, mass in enumerate(pmf):
+        acc += mass * size
+        if acc >= 20.0:
+            edges.append(k + 1)
+            acc = 0.0
+    edges[-1] = pmf.size  # fold an underfilled last bin into its neighbour
+    expected = np.add.reduceat(pmf, edges[:-1]) * size
+    expected[-1] += (1.0 - pmf.sum()) * size
+    counts = np.add.reduceat(observed[: pmf.size], edges[:-1]).astype(float)
+    counts[-1] += observed[pmf.size :].sum()
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    return float(stats.chi2.sf(statistic, len(expected) - 1))
+
+
+@pytest.mark.parametrize(
+    "model, initial, seed",
+    [
+        (build_model([Geometric([0.4])], Poisson([2.5])), [40], 161),
+        (
+            build_model([Poisson([1.0, 0.5]), Geometric([1.0, 0.6])], Geometric([0.3, 0.5])),
+            [10, 7],
+            162,
+        ),
+        (
+            build_model(
+                [Geometric([0.5, 0.6, 1.0]), Bernoulli([0.0, 0.5, 0.0]), Geometric([1.0, 0.7, 1.0])],
+                Poisson([1.0, 0.5, 0.0]),
+            ),
+            [12, 9, 6],
+            163,
+        ),
+    ],
+    ids=["geometric-offspring", "geometric-immigration", "three-type-mix"],
+)
+def test_geometric_transition_matches_the_exact_law(model, initial, seed):
+    # One generation of 200,000 replicas from a fixed state, seed fixed in
+    # advance.  Each coordinate is tested by binned chi-square against its
+    # exact pmf, a convolution of negative binomial, Poisson and binomial
+    # pmfs, at level 1e-3 per coordinate: a correct sampler fails one of
+    # these 5 tests with probability below 5e-3 (asymptotic chi-square).
+    replicas = 200_000
+    drawn = step_ensemble(model, np.tile(initial, (replicas, 1)), np.random.default_rng(seed))
+    mean = model.A @ initial + model.b
+    for j in range(model.p):
+        if mean[j] == 0.0:  # fed only by p = 1 coordinates and zero rates
+            assert np.all(drawn[:, j] == 0)
+            continue
+        support = int(10 * mean[j]) + 100
+        pmf = _coordinate_pmf(model, initial, j, support)
+        assert pmf.sum() > 1.0 - 1e-12
+        assert _binned_chi2_pvalue(drawn[:, j], pmf) > 1e-3, j
 
 
 def test_martingale_increments_reconstruction():
