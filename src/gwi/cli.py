@@ -236,10 +236,9 @@ def cmd_identities(args) -> int:
     for _ in range(args.trials):
         k = int(rng.integers(1, args.max_k + 1))
         n = int(rng.choice(IDENTITY_GRID_SCALES))
-        table = rng.integers(-9, 10, size=k + 2)
-        f = lambda l: int(table[l])  # noqa: E731
+        table = rng.integers(-9, 10, size=k + 2).tolist()
         for identity in (weighted_sum_identity_1, weighted_sum_identity_2, weighted_sum_identity_3):
-            lhs, rhs = identity(f, k, n)
+            lhs, rhs = identity(table.__getitem__, k, n)
             if lhs != rhs:
                 failures += 1
     print(f"identities: {args.trials} trials x 3 identities, {failures} failures")

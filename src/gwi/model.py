@@ -118,9 +118,11 @@ def build_model(offspring_specs, immigration_spec: DistributionSpec) -> GwiModel
     """Derive A, b and V^(0..p) in closed form from the distribution specs.
 
     Column i of A is the mean of offspring spec i; b is the immigration mean.
-    Verifies dimensional consistency and the structural-zero invariant: a zero
-    mean entry of a nonnegative integer law forces the coordinate to be a.s.
-    zero, hence the matching row/column of its covariance must vanish.
+    Verifies dimensional consistency, that every mean and covariance is
+    finite (a law such as Geometric(5e-324) overflows them), and the
+    structural-zero invariant: a zero mean entry of a nonnegative integer law
+    forces the coordinate to be a.s. zero, hence the matching row/column of
+    its covariance must vanish.
     """
     offspring = tuple(offspring_specs)
     if not offspring:
@@ -136,9 +138,15 @@ def build_model(offspring_specs, immigration_spec: DistributionSpec) -> GwiModel
             f"immigration spec emits {immigration_spec.dim}-dim vectors, expected {p}"
         )
 
-    A = np.column_stack([spec.mean() for spec in offspring])
-    b = immigration_spec.mean().copy()
-    V = [immigration_spec.cov()] + [spec.cov() for spec in offspring]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        A = np.column_stack([spec.mean() for spec in offspring])
+        b = immigration_spec.mean().copy()
+        V = [immigration_spec.cov()] + [spec.cov() for spec in offspring]
+    for name, mean, cov in [("immigration spec", b, V[0])] + [
+        (f"offspring spec {j}", A[:, j], V[j + 1]) for j in range(p)
+    ]:
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError(f"{name} has a mean or covariance that is not finite")
 
     for j, spec in enumerate(offspring):
         zero_rows = np.flatnonzero(A[:, j] == 0.0)

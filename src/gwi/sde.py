@@ -16,10 +16,18 @@ c_i = sum_j a_ij c_j over the same j otherwise.
 One streaming kernel integrates every system on a time grid.  Squared Bessel
 coordinates take Euler-Maruyama steps (the positive part sits inside the
 square root exactly as in the SDE, and each step is clamped at zero so paths
-stay nonnegative) and draw their normals in coordinate order; integral
-coordinates take trapezoidal steps on the same grid.  A lone squared Bessel
-process is coordinate 0 of ``LimitSystem(case=1, b=(b, 0, 0), v=(v, 0, 0))``:
-a zero ``v`` draws nothing.
+stay nonnegative); integral coordinates take trapezoidal steps on the same
+grid.  A lone squared Bessel process is coordinate 0 of
+``LimitSystem(case=1, b=(b, 0, 0), v=(v, 0, 0))``: a zero ``v`` draws
+nothing.
+
+The kernel runs in blocks of steps.  Each block draws the normals of its k
+squared Bessel coordinates with v > 0 in one
+``rng.standard_normal((steps, k, n_paths))`` call.  Its C order (step, then
+coordinate, then path) is the order in which step-by-step draws would come,
+so a seed gives the same paths whatever the block length.  A block holds at
+most 64 KiB of normals (at least one step) and p / k times that of states,
+so memory does not grow with the number of steps beyond the recorded output.
 
 The squared Bessel marginal at time t started from zero is
 Gamma(shape 2 b / v, scale v t / 2), which serves as the exact reference law
@@ -28,7 +36,7 @@ for distributional tests on the first coordinate.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -161,56 +169,119 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _besq_step(
-    x: np.ndarray, b: float, v: float, dt: float, normals: np.ndarray
-) -> np.ndarray:
-    drift = x + b * dt
-    if v == 0.0:
-        return np.maximum(drift, 0.0)
-    diffusion = np.sqrt(v * np.maximum(x, 0.0) * dt) * normals
-    return np.maximum(drift + diffusion, 0.0)
+# A block of steps holds at most this many bytes of normals (and at least one
+# step); its states take p / k times as much for k squared Bessel coordinates.
+_BLOCK_BYTES = 64 * 1024
 
 
-def _flow(sources, xs: list[np.ndarray]) -> np.ndarray:
-    """sum_j a_ij X_j over one coordinate's sources, added in source order."""
+def _flow(sources, x: np.ndarray) -> np.ndarray:
+    """sum_j a_ij X_j over one coordinate's sources, added in source order.
+
+    ``x`` holds states as (step, coordinate, path); the result is (step, path).
+    """
     (j, a), *rest = sources
-    total = a * xs[j]
+    total = a * x[:, j]
     for j, a in rest:
-        total = total + a * xs[j]
+        total = total + a * x[:, j]
     return total
 
 
-def _integrate(b, v, sources, dts, record_at, n_paths: int, rng) -> np.ndarray:
+def _running_sum(path: np.ndarray) -> None:
+    """Add each row of a (steps + 1, paths) block to the next, in step order.
+
+    One ``np.add.accumulate`` call runs along each path, so it pays per path;
+    one add per step pays per step.  The cheaper loop is taken; both make the
+    same additions in the same order.
+    """
+    steps = path.shape[0] - 1
+    if 32 * steps >= path.shape[1]:
+        np.add.accumulate(path, axis=0, out=path)
+    else:
+        for s in range(steps):
+            np.add(path[s], path[s + 1], out=path[s + 1])
+
+
+def _per_row(values: list) -> np.ndarray:
+    """One value per squared Bessel row as a ufunc operand: a 0-d array when the
+    values agree (the cheapest operand to broadcast), a column otherwise."""
+    return np.array(values[0] if len(set(values)) == 1 else [[x] for x in values], dtype=float)
+
+
+def _integrate(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
     """Stream one limit system from X(0) = 0 over the time steps ``dts``.
 
     Returns the states after the steps listed in ``record_at`` (0 is the
-    start), shape (n_paths, len(record_at), p).  A coordinate without sources
-    takes a squared Bessel step, drawing n_paths normals when its v > 0; a
-    coordinate with sources adds the trapezoid of sum_j a_ij X_j.  Only the
-    current state is held between steps.
+    start), shape (n_paths, len(record_at), p).  The coordinates without
+    sources and with v > 0 take squared Bessel steps, together and in place,
+    drawing n_paths normals each per step in coordinate order.  A coordinate
+    without sources and with v = 0 adds b dt per step, and a coordinate with
+    sources adds the trapezoid of sum_j a_ij X_j.
+
+    Steps run in blocks of at most ``_BLOCK_BYTES`` of normals.  A block
+    draws them with one ``standard_normal((steps, k, n_paths))`` call, the
+    same stream as k draws per step, and every other coordinate forms its
+    increments once per block and adds them as a running sum.  Only one
+    block of states is held.
     """
     n_paths = _integer(n_paths, "n_paths")
     if n_paths < 1:
         raise ValidationError("the number of paths must be >= 1")
     p = len(b)
-    slots: dict[int, list[int]] = {}
-    for pos, m in enumerate(record_at):
-        slots.setdefault(m, []).append(pos)
+    drawn = [i for i in range(p) if not sources[i] and v[i] > 0]
+    k = len(drawn)
+    # any subset of three rows is evenly spaced, so one slice selects them
+    stride = drawn[1] - drawn[0] if k > 1 else 1
+    rows = slice(drawn[0], drawn[-1] + 1, stride) if drawn else slice(0)
+    v_rows, b_rows = (_per_row([c[i] for i in drawn]) for c in (v, b))
+    zero = np.zeros(())
+    steps = dts.size
+    block = max(1, min(steps, _BLOCK_BYTES // (8 * n_paths * max(k, 1))))
+    states = np.zeros((block + 1, p, n_paths))
+    normals = np.empty((block, k, n_paths))
+    scaled = np.empty((k, n_paths))
+    besq = states[:, rows]
+    recorded = sorted((m, pos) for pos, m in enumerate(record_at) if m > 0)
+    record_steps = [m for m, _ in recorded]
     out = np.zeros((n_paths, len(record_at), p))
-    state = [np.zeros(n_paths) for _ in range(p)]
-    for m, dt in enumerate(dts, start=1):
-        new: list[np.ndarray] = []
-        for i in range(p):
-            if sources[i]:
-                trap = _flow(sources[i], state) + _flow(sources[i], new)
-                new.append(state[i] + 0.5 * dt * trap)
+    done = first = 0
+    while done < steps:
+        size = min(block, steps - done)
+        h = dts[done : done + size]
+        x = states[: size + 1]
+        if drawn:
+            rng.standard_normal(out=normals[:size])
+            drift = np.multiply.outer(h, b_rows)
+            for now, nxt, dt, z, b_dt in zip(besq, besq[1:], h.tolist(), normals, drift):
+                # states are clamped at +0, so X is max(X, 0) under the root
+                np.multiply(now, v_rows, out=scaled)
+                scaled *= dt
+                np.sqrt(scaled, out=scaled)
+                scaled *= z
+                np.add(now, b_dt, out=nxt)
+                nxt += scaled
+                np.maximum(nxt, zero, out=nxt)
+        half = (0.5 * h)[:, None]
+        for i, src in enumerate(sources):
+            if i in drawn:
+                continue
+            path = x[:, i]
+            if src:
+                flow = _flow(src, x)
+                np.multiply(half, flow[:-1] + flow[1:], out=path[1:])
             else:
-                normals = rng.standard_normal(n_paths) if v[i] > 0 else 0.0
-                new.append(_besq_step(state[i], b[i], v[i], dt, normals))
-        state = new
-        for pos in slots.get(m, ()):
+                path[1:] = (b[i] * h)[:, None]
+            _running_sum(path)
+        last = bisect.bisect_right(record_steps, done + size, first)
+        while first < last:  # copy each run of consecutive steps to consecutive slots
+            m, pos = recorded[first]
+            run = 1
+            while first + run < last and recorded[first + run] == (m + run, pos + run):
+                run += 1
             for i in range(p):
-                out[:, pos, i] = state[i]
+                out[:, pos : pos + run, i] = x[m - done : m - done + run, i].T
+            first += run
+        done += size
+        states[0] = states[size]
     return out
 
 
@@ -224,7 +295,7 @@ def simulate_limit_system(
         system.b,
         system.v,
         system.sources,
-        np.diff(grid).tolist(),
+        np.diff(grid),
         range(grid.size),
         n_paths,
         np.random.default_rng(seed),
@@ -258,7 +329,7 @@ def limit_system_marginals(
         system.b,
         system.v,
         system.sources,
-        itertools.repeat(dt, max(indices)),
+        np.full(max(indices), dt, dtype=float),
         indices,
         n_paths,
         np.random.default_rng(seed),

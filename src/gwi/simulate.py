@@ -164,7 +164,7 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
     states = np.asarray(states, dtype=np.int64)
     if states.ndim != 2 or states.shape[1] != model.p:
         raise ValidationError(f"states must have shape (replicas, {model.p})")
-    if (states > _SAFE_LIMIT).any():
+    if states.size and states.max() > _SAFE_LIMIT:
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
     rates, immigration_rate, mixed, other = model.poisson_mixture
     replicas = states.shape[0]
@@ -186,7 +186,7 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
             raise ValidationError("states must be nonnegative") from exc
         # numpy rejects a rate or count past what its sampler can draw
         raise OverflowGuardError(f"population too large for numpy's sampler: {exc}") from exc
-    if (nxt < 0).any() or (nxt > _OVERFLOW_LIMIT - 1).any():
+    if nxt.size and (nxt.min() < 0 or nxt.max() >= _OVERFLOW_LIMIT):
         raise OverflowGuardError(f"population coordinate exceeded {_OVERFLOW_LIMIT}")
     return nxt
 
@@ -342,60 +342,65 @@ def decomposition_components(
     )
 
 
-def weighted_sum_identity_1(f: Callable[[int], float], k: int, n: int):
+def weighted_sum_identity_1(f: Callable[[int], int], k: int, n: int):
     """Plain sum vs step-function integral: both sides of
 
         sum_{l=0}^{k} f(l)  ==  n * integral_0^{(k+1)/n} f(floor(n s)) ds.
 
-    The integral side is an exact rational panel sum, so integer-valued f
-    gives exact equality.  Returns (lhs, rhs).
+    The integral is the panel sum of f(m) / n over the panels [m/n, (m+1)/n),
+    added as integer numerators over the common denominator n and returned
+    as one exact ``Fraction``, so integer-valued f gives exact equality.  A
+    Fraction-valued f is also exact; a float-valued f raises ``TypeError``.
+    Returns (lhs, rhs).
     """
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
     lhs = sum(f(l) for l in range(k + 1))
-    width = Fraction(1, n)  # every panel [m/n, (m+1)/n) has this width
-    rhs = sum(f(m) * width for m in range(k + 1)) * n
+    rhs = Fraction(sum(f(m) for m in range(k + 1)) * n, n)
     return lhs, rhs
 
 
-def weighted_sum_identity_2(f: Callable[[int], float], k: int, n: int):
+def weighted_sum_identity_2(f: Callable[[int], int], k: int, n: int):
     """Linearly weighted sum vs integral of the running sum:
 
         sum_{l=1}^{k} (k - l) f(l)  ==  n * integral_0^{k/n} F(floor(n s)) ds
 
-    with F(m) = sum_{l=1}^{m} f(l).  Returns (lhs, rhs), exact for integer f.
+    with F(m) = sum_{l=1}^{m} f(l).  The integral is the panel sum of
+    F(m) / n, formed over the common denominator n as one ``Fraction``.
+    Returns (lhs, rhs), exact for integer or Fraction f; a float-valued f
+    raises ``TypeError``.
     """
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
     lhs = sum((k - l) * f(l) for l in range(1, k + 1))
     running = _running_sums(f, k)
-    width = Fraction(1, n)
-    rhs = sum(running[m] * width for m in range(k)) * n
+    rhs = Fraction(sum(running[:k]) * n, n)
     return lhs, rhs
 
 
-def weighted_sum_identity_3(f: Callable[[int], float], k: int, n: int):
+def weighted_sum_identity_3(f: Callable[[int], int], k: int, n: int):
     """Binomially weighted sum vs the twice-iterated step integral:
 
         sum_{l=1}^{k} binom(k - l, 2) f(l)
             ==  n^2 * integral_0^{k/n} integral_0^{floor(n r)/n} F(floor(n s)) ds dr.
 
-    Returns (lhs, rhs), exact for integer f.
+    The inner integral up to m/n has numerator sum_{m' < m} F(m') over n,
+    and the outer one adds those numerators over n^2; the result is one
+    ``Fraction``.  Returns (lhs, rhs), exact for integer or Fraction f; a
+    float-valued f raises ``TypeError``.
     """
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
     lhs = sum(comb(k - l, 2) * f(l) for l in range(1, k + 1))
     running = _running_sums(f, k)
-    width = Fraction(1, n)
-    inner = Fraction(0)  # integral_0^{m/n} F(floor(n s)) ds, one panel at a time
-    rhs = Fraction(0)
+    inner = outer = 0  # numerators of the inner (over n) and outer (over n^2) integrals
     for m in range(k):
-        rhs += inner * width
-        inner += running[m] * width
-    return lhs, rhs * n**2
+        outer += inner
+        inner += running[m]
+    return lhs, Fraction(outer * n**2, n**2)
 
 
-def _running_sums(f: Callable[[int], float], k: int) -> list:
+def _running_sums(f: Callable[[int], int], k: int) -> list:
     """F(m) = sum_{l=1}^m f(l) for m = 0..k."""
     running = [0]
     for l in range(1, k + 1):

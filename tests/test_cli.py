@@ -126,6 +126,18 @@ def test_provenance_names_the_bit_generator_and_library_versions(tmp_path, case4
     assert comments[4:] == [f"# {key}={value}" for key, value in expected.items()]
 
 
+def test_classify_rejects_a_model_whose_moments_overflow(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "p": 1,
+        "offspring": [{"kind": "geometric", "params": {"p": [5e-324]}}],
+        "immigration": {"kind": "poisson", "params": {"lam": [1.0]}},
+    }))
+    assert main(["classify", "--model", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not finite" in err[0]
+
+
 def test_classify_missing_model_exits_2(tmp_path):
     assert main(["classify", "--model", str(tmp_path / "nope.json")]) == 2
 

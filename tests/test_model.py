@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gwi import (
     Deterministic,
+    Geometric,
     JointTable,
     Poisson,
     UnipotentMatrix,
@@ -60,6 +62,28 @@ def test_build_model_dimension_mismatch():
         build_model([Poisson([1.0])], Poisson([1.0, 1.0]))
     with pytest.raises(ValidationError):
         build_model([Poisson([1.0, 0.0])], Poisson([1.0, 1.0]))
+
+
+def test_build_model_rejects_laws_whose_moments_overflow():
+    # the mean (1 - p) / p overflows to inf for p = 5e-324, and so does the variance
+    law = Geometric([5e-324])
+    with pytest.raises(ValidationError, match="offspring spec 0 .* not finite"):
+        build_model([law], Poisson([1.0]))
+    with pytest.raises(ValidationError, match="immigration spec .* not finite"):
+        build_model([Poisson([1.0])], law)
+    with pytest.raises(ValidationError, match="offspring spec 1 .* not finite"):
+        build_model([Poisson([1.0, 0.0]), Geometric([1e-200, 0.5])], Poisson([1.0, 1.0]))
+
+
+def test_load_model_rejects_laws_whose_moments_overflow(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "p": 1,
+        "offspring": [{"kind": "geometric", "params": {"p": [5e-324]}}],
+        "immigration": {"kind": "poisson", "params": {"lam": [1.0]}},
+    }))
+    with pytest.raises(ValidationError, match="not finite"):
+        load_model(path)
 
 
 def test_structural_zero_rows_have_zero_covariance():

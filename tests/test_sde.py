@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from gwi import (
     mean_polynomial,
     simulate_limit_system,
 )
+from gwi import sde
 from util import besq_system, poisson_case_model
 
 
@@ -317,3 +319,129 @@ def test_limit_system_determinism():
     a = limit_system_marginals(system, [0.5, 1.0], 1e-2, 100, seed=41)
     b = limit_system_marginals(system, [0.5, 1.0], 1e-2, 100, seed=41)
     assert np.array_equal(a, b)
+
+
+# -- byte identity of the block kernel against the step-by-step one ----------
+
+
+def _reference_besq_step(x, b, v, dt, normals):
+    drift = x + b * dt
+    if v == 0.0:
+        return np.maximum(drift, 0.0)
+    diffusion = np.sqrt(v * np.maximum(x, 0.0) * dt) * normals
+    return np.maximum(drift + diffusion, 0.0)
+
+
+def _reference_flow(sources, xs):
+    (j, a), *rest = sources
+    total = a * xs[j]
+    for j, a in rest:
+        total = total + a * xs[j]
+    return total
+
+
+def _reference_integrate(b, v, sources, dts, record_at, n_paths, rng):
+    """The step-by-step kernel: one step of every coordinate at a time, in
+    coordinate order, each squared Bessel coordinate with v > 0 drawing its
+    own n_paths normals."""
+    p = len(b)
+    slots = {}
+    for pos, m in enumerate(record_at):
+        slots.setdefault(m, []).append(pos)
+    out = np.zeros((n_paths, len(record_at), p))
+    state = [np.zeros(n_paths) for _ in range(p)]
+    for m, dt in enumerate(dts, start=1):
+        new = []
+        for i in range(p):
+            if sources[i]:
+                trap = _reference_flow(sources[i], state) + _reference_flow(sources[i], new)
+                new.append(state[i] + 0.5 * dt * trap)
+            else:
+                normals = rng.standard_normal(n_paths) if v[i] > 0 else 0.0
+                new.append(_reference_besq_step(state[i], b[i], v[i], dt, normals))
+        state = new
+        for pos in slots.get(m, ()):
+            for i in range(p):
+                out[:, pos, i] = state[i]
+    return out
+
+
+def _both_kernels(system, dts, record_at, n_paths, seed):
+    args = (system.b, system.v, system.sources)
+    new = sde._integrate(*args, np.asarray(dts, dtype=float), record_at, n_paths, np.random.default_rng(seed))
+    old = _reference_integrate(*args, list(dts), record_at, n_paths, np.random.default_rng(seed))
+    return new, old
+
+
+ORACLE_SYSTEMS = {
+    "pattern1": LimitSystem(case=1, b=(1.0, 2.0, 0.5), v=(1.0, 0.7, 2.0)),
+    "pattern2": LimitSystem(case=2, b=(1.0, 2.0, 2.0), v=(1.0, 1.5, 1.0), a31=0.5, a32=0.5),
+    "pattern3": LimitSystem(case=3, b=(1.0, 2.0, 2.0), v=(1.0, 1.0, 1.0), a21=0.5, a31=0.25),
+    "pattern4": LimitSystem(case=4, b=(1.0, 2.0, 2.0), v=(1.0, 1.0, 1.0), a21=0.5, a31=0.3, a32=0.5),
+    "pattern1_v0_middle": LimitSystem(case=1, b=(1.0, 2.0, 0.5), v=(1.0, 0.0, 2.0)),
+    "pattern1_v0_first": LimitSystem(case=1, b=(1.0, 2.0, 0.5), v=(0.0, 1.0, 2.0)),
+    "pattern2_v0": LimitSystem(case=2, b=(1.0, 2.0, 2.0), v=(0.0, 1.5, 1.0), a31=0.5),
+    "pattern4_v0": LimitSystem(case=4, b=(1.0, 2.0, 2.0), v=(0.0, 1.0, 1.0), a21=0.5, a32=0.5),
+    "besq": besq_system(0.05, 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+@pytest.mark.parametrize("n_paths, steps", [(1, 999), (25, 1000), (25, 1001), (2500, 10)])
+def test_block_kernel_matches_step_by_step_kernel(name, n_paths, steps):
+    # two step counts per size, so at least one is not a multiple of a block
+    new, old = _both_kernels(ORACLE_SYSTEMS[name], [1e-3] * steps, range(steps + 1), n_paths, 17)
+    assert new.tobytes() == old.tobytes()
+
+
+def test_block_kernel_matches_on_short_blocks(monkeypatch):
+    # 7-step blocks for 25 paths and one drawn coordinate: 14 full blocks and one of 2
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", 8 * 25 * 7)
+    for system in ORACLE_SYSTEMS.values():
+        new, old = _both_kernels(system, [2e-3] * 100, [0, 7, 7, 8, 14, 0, 99, 100, 50], 25, 3)
+        assert new.tobytes() == old.tobytes()
+
+
+def test_block_kernel_matches_on_a_nonuniform_grid_and_through_the_public_api():
+    grid = np.concatenate([[0.0], np.cumsum(np.random.default_rng(5).uniform(1e-4, 3e-2, size=337))])
+    for system in ORACLE_SYSTEMS.values():
+        path = simulate_limit_system(system, grid, 7, n_paths=13)
+        old = _reference_integrate(
+            system.b, system.v, system.sources, np.diff(grid).tolist(), range(grid.size), 13,
+            np.random.default_rng(7),
+        )
+        assert path.values.tobytes() == old.tobytes()
+        assert path.values.flags.c_contiguous
+
+
+def test_block_kernel_records_step_zero_duplicates_and_unsorted_times():
+    t_points = [0.0, 0.5, 0.25, 0.5, 1.0, 0.0]
+    indices = [0, 500, 250, 500, 1000, 0]
+    for system in ORACLE_SYSTEMS.values():
+        new = limit_system_marginals(system, t_points, 1e-3, 40, seed=2)
+        old = _reference_integrate(
+            system.b, system.v, system.sources, [1e-3] * 1000, indices, 40, np.random.default_rng(2)
+        )
+        assert new.tobytes() == old.tobytes()
+        assert np.all(new[:, 0] == 0.0) and np.array_equal(new[:, 1], new[:, 3])
+
+
+def test_block_kernel_handles_integral_coordinates_before_squared_bessel_ones():
+    # no LimitSystem has this order (see the test below), but the kernel does not need it:
+    # coordinate 1 integrates coordinate 0 while coordinates 0 and 2 draw
+    b, v, sources = (1.0, 0.0, 2.0), (1.0, 0.0, 0.5), ((), ((0, 0.5),), ())
+    for n_paths, steps in ((25, 1000), (2500, 10)):
+        new = sde._integrate(b, v, sources, np.full(steps, 1e-3), range(steps + 1), n_paths, np.random.default_rng(4))
+        old = _reference_integrate(b, v, sources, [1e-3] * steps, range(steps + 1), n_paths, np.random.default_rng(4))
+        assert new.tobytes() == old.tobytes()
+
+
+def test_every_limit_system_lists_its_squared_bessel_coordinates_first():
+    for a21, a31, a32 in itertools.product((0.0, 0.5), repeat=3):
+        for case in (1, 2, 3, 4):
+            try:
+                system = LimitSystem(case=case, b=(1, 1, 1), v=(1, 1, 1), a21=a21, a31=a31, a32=a32)
+            except ValidationError:
+                continue
+            besq = [not src for src in system.sources]
+            assert besq == sorted(besq, reverse=True), (case, a21, a31, a32)

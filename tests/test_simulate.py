@@ -31,6 +31,7 @@ from gwi import (
     weighted_sum_identity_2,
     weighted_sum_identity_3,
 )
+from gwi.cli import IDENTITY_GRID_SCALES
 from util import deterministic_model, poisson_case_model, single_type_poisson
 
 
@@ -153,6 +154,23 @@ def test_rates_past_numpys_sampler_limit_raise_the_overflow_guard():
     for law in (model, geometric):
         with pytest.raises(ValidationError, match="nonnegative"):
             step_ensemble(law, np.array([[-3]]), np.random.default_rng(0))
+
+
+def test_step_ensemble_guards_allow_an_empty_batch():
+    for model in (poisson_case_model(4), deterministic_model()):
+        empty = step_ensemble(model, np.zeros((0, 3), dtype=np.int64), np.random.default_rng(0))
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
+
+
+def test_step_ensemble_guard_bounds_are_inclusive_where_they_were():
+    # 2**53 passes the state guard and 2**53 + 1 does not; an output of 2**63 - 1 trips the output guard
+    model = build_model([Deterministic([1])], Deterministic([0]))
+    assert step_ensemble(model, np.array([[2**53]]), np.random.default_rng(0)).tolist() == [[2**53]]
+    with pytest.raises(OverflowGuardError, match="exceeded 9007199254740992"):
+        step_ensemble(model, np.array([[2**53 + 1]]), np.random.default_rng(0))
+    huge = build_model([Deterministic([1])], Deterministic([2**63 - 1 - 2**53]))
+    with pytest.raises(OverflowGuardError, match="exceeded 9223372036854775807"):
+        step_ensemble(huge, np.array([[2**53]]), np.random.default_rng(0))
 
 
 def test_geometric_immigration_past_numpys_sampler_limit_raises_the_overflow_guard():
@@ -553,6 +571,52 @@ def test_weighted_sum_identities_exact_property(values, n):
         lhs, rhs = identity(f, k, n)
         assert lhs == rhs
         assert Fraction(rhs).denominator == 1
+
+
+def _reference_identity_rhs(which, f, k, n):
+    """The right sides as sums of Fraction panels, one normalization per panel."""
+    width = Fraction(1, n)
+    if which == 1:
+        return sum(f(m) * width for m in range(k + 1)) * n
+    running = [0]
+    for l in range(1, k + 1):
+        running.append(running[-1] + f(l))
+    if which == 2:
+        return sum(running[m] * width for m in range(k)) * n
+    inner, rhs = Fraction(0), Fraction(0)
+    for m in range(k):
+        rhs += inner * width
+        inner += running[m] * width
+    return rhs * n**2
+
+
+IDENTITIES = (weighted_sum_identity_1, weighted_sum_identity_2, weighted_sum_identity_3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.integers(-10**12, 10**12), min_size=2, max_size=101),
+    n=st.sampled_from(IDENTITY_GRID_SCALES),
+)
+def test_common_denominator_identities_match_the_panel_sums(values, n):
+    k = len(values) - 1
+    for which, identity in enumerate(IDENTITIES, start=1):
+        lhs, rhs = identity(values.__getitem__, k, n)
+        expected = _reference_identity_rhs(which, values.__getitem__, k, n)
+        assert type(rhs) is Fraction and lhs == rhs == expected
+        assert (rhs.numerator, rhs.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_identities_with_fraction_or_float_values():
+    # a Fraction-valued f stays exact and equal to the panel sums
+    values = [Fraction(l, 3) - Fraction(1, 7) for l in range(12)]
+    for which, identity in enumerate(IDENTITIES, start=1):
+        lhs, rhs = identity(values.__getitem__, 11, 7)
+        assert lhs == rhs == _reference_identity_rhs(which, values.__getitem__, 11, 7)
+    # a float-valued f cannot form one exact Fraction
+    for identity in IDENTITIES:
+        with pytest.raises(TypeError):
+            identity(lambda l: 0.5 * l, 5, 3)
 
 
 def test_weighted_sum_identities_validate_inputs():
