@@ -82,7 +82,7 @@ class GwiModel:
 
     @cached_property
     def poisson_mixture(self):
-        """How one generation splits into one Poisson draw and per-law draws.
+        """How one generation splits into its Poisson variates and per-law draws.
 
         Returns ``(R, c, mixed, other)``.  Column i of R is the rate vector of
         type i if its offspring law is Poisson and zero otherwise, and c is

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLawError, ValidationError
+from .errors import DegenerateLawError, OverflowGuardError, ValidationError
 from .model import GwiModel, detect_case
 from .moments import growth_exponents
 from .simulate import _integer, check_seed
@@ -222,7 +222,21 @@ def _integrate(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> 
     same stream as k draws per step, and every other coordinate forms its
     increments once per block and adds them as a running sum.  Only one
     block of states is held.
+
+    The steps run with numpy's floating-point overflow and invalid-operation
+    errors raised, so a path that leaves the finite floats raises
+    :class:`OverflowGuardError` instead of being returned; this adds no
+    reduction per step.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _kernel(b, v, sources, dts, record_at, n_paths, rng)
+    except FloatingPointError as exc:
+        raise OverflowGuardError(f"limit-system path left the finite floats: {exc}") from exc
+
+
+def _kernel(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
+    """The body of :func:`_integrate`, run under its error state."""
     n_paths = _integer(n_paths, "n_paths")
     if n_paths < 1:
         raise ValidationError("the number of paths must be >= 1")

@@ -26,6 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .distributions import _draw
 from .errors import ConsistencyError, OverflowGuardError, ValidationError
 from .model import GwiModel
 
@@ -89,13 +90,26 @@ def check_seed(seed, name: str = "seed", *, sequence: bool = True):
     return value
 
 
+def _nonnegative_integers(arr: np.ndarray, message: str) -> np.ndarray:
+    """``arr`` as int64 if every entry is a nonnegative integer below 2**63.
+
+    nan and inf fail the test, as do strings and other non-numbers.
+    """
+    if arr.dtype.kind not in "biuf" or not np.all(
+        (arr >= 0) & (arr == np.floor(arr)) & (arr < 2.0**63)
+    ):
+        raise ValidationError(message)
+    return arr.astype(np.int64)
+
+
 def _check_initial(model: GwiModel, initial) -> np.ndarray:
     if initial is None:
         return np.zeros(model.p, dtype=np.int64)
     arr = np.asarray(initial)
-    if arr.shape != (model.p,) or np.any(arr < 0) or not np.all(arr == np.floor(arr)):
-        raise ValidationError(f"initial state must be a nonnegative integer {model.p}-vector")
-    return arr.astype(np.int64)
+    message = f"initial state must be a nonnegative integer {model.p}-vector"
+    if arr.shape != (model.p,):
+        raise ValidationError(message)
+    return _nonnegative_integers(arr, message)
 
 
 def simulate_trajectory(
@@ -150,18 +164,27 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
     and Geometric sums are Poisson given a rate: x_i times the rates of a
     Poisson law, Gamma(x_i) (1-p)/p for a Geometric law (a Gamma-mixed
     Poisson; count 1, an Exp(1), for immigration).  Superposition makes their
-    total one Poisson at the summed rate, drawn by one ``rng.poisson`` call
-    over the (replicas, p) rates.  Its Poisson part is ``x @ R.T + c`` from
-    ``model.poisson_mixture``, which is A x + b for an all-Poisson model: one
-    variate per replica and coordinate.  The draw order is fixed: the Gammas
-    of the Geometric types in type order (C order over replicas and the
-    coordinates with p < 1), the Geometric immigration's, the one Poisson
-    draw, then ``sample_sum`` of every other offspring law in type order and
-    ``sample`` of any other immigration law.  A state past 2**53, or one
-    whose rates or counts numpy's samplers reject, raises
+    total one Poisson at the summed rate: one Poisson variate per replica and
+    coordinate, drawn in C order over the (replicas, p) rates.  Its Poisson
+    part is ``x @ R.T + c`` from ``model.poisson_mixture``, which is A x + b
+    for an all-Poisson model.  The draw order is fixed: the Gammas of the
+    Geometric types in type order (C order over replicas and the coordinates
+    with p < 1), the Geometric immigration's, the Poisson variates, then
+    ``sample_sum`` of every other offspring law in type order and ``sample``
+    of any other immigration law.  A large batch draws the Poisson variates
+    and each law's Gammas with one array call; a small one draws them one
+    scalar call at a time from the same stream, so the values do not depend
+    on the batch size.
+
+    ``states`` must hold nonnegative integers; a float state such as 1.7 or
+    nan raises :class:`ValidationError`.  A state past 2**53, or one whose
+    rates or counts numpy's samplers reject, raises
     :class:`OverflowGuardError`.
     """
-    states = np.asarray(states, dtype=np.int64)
+    states = np.asarray(states)
+    if states.dtype.kind not in "iu":  # integer states are checked by the guards below
+        states = _nonnegative_integers(states, "states must be nonnegative integers")
+    states = states.astype(np.int64, copy=False)
     if states.ndim != 2 or states.shape[1] != model.p:
         raise ValidationError(f"states must have shape (replicas, {model.p})")
     if states.size and states.max() > _SAFE_LIMIT:
@@ -176,7 +199,7 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
             for law, i in mixed:
                 counts = np.ones(replicas, dtype=np.int64) if i is None else states[:, i]
                 rate += law.poisson_rate(counts, rng)
-            nxt = rng.poisson(rate)
+            nxt = _draw(rng.poisson, rate, np.int64)
         for law, i in other:
             nxt += law.sample(replicas, rng) if i is None else law.sample_sum(states[:, i], rng)
     except ValidationError:

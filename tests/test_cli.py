@@ -751,3 +751,12 @@ def test_simulate_past_numpys_sampler_limit_exits_1(tmp_path, capsys, offspring)
     assert main(["simulate", "--model", str(path), "--steps", "10"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "numpy's sampler" in err[0], err
+
+
+def test_sde_paths_past_the_largest_float_exit_1(tmp_path, capsys):
+    out = tmp_path / "sde.csv"
+    args = ["sde", "--case", "1", "--b1", "1e307", "--v1", "1", "--dt", "10", "--horizon", "30", "--paths", "2"]
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "finite floats" in err[0], err
+    assert not out.exists()

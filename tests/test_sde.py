@@ -11,6 +11,7 @@ from scipy import stats
 from gwi import (
     DegenerateLawError,
     LimitSystem,
+    OverflowGuardError,
     ValidationError,
     detect_case,
     exact_first_coordinate_law,
@@ -445,3 +446,15 @@ def test_every_limit_system_lists_its_squared_bessel_coordinates_first():
                 continue
             besq = [not src for src in system.sources]
             assert besq == sorted(besq, reverse=True), (case, a21, a31, a32)
+
+
+def test_paths_that_overflow_raise_the_overflow_guard():
+    # parameters LimitSystem accepts as finite, whose paths leave the finite floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the growth degrees' matrix powers overflow too
+        system = LimitSystem(case=4, b=(1, 1, 1), v=(1e308, 1, 1), a21=1e300, a32=1e300)
+    with pytest.raises(OverflowGuardError, match="finite floats"):
+        limit_system_marginals(system, [1.0], 0.5, 3, 2)
+    with pytest.raises(OverflowGuardError, match="finite floats"):
+        simulate_limit_system(besq_system(1e307, 1.0), make_grid(30.0, 10.0), seed=0, n_paths=2)
+    assert np.geterr()["over"] != "raise"  # the error state is the caller's again

@@ -32,6 +32,7 @@ from gwi import (
     weighted_sum_identity_3,
 )
 from gwi.cli import IDENTITY_GRID_SCALES
+from gwi.distributions import _SCALAR_DRAWS, _draw
 from util import deterministic_model, poisson_case_model, single_type_poisson
 
 
@@ -133,13 +134,20 @@ def test_overflow_guard_trips():
         simulate_trajectory(doubling, 80, seed=0)
 
 
+# replica counts whose batches are drawn by scalar calls, then by one array call
+BOTH_SIDES_OF_THE_CUTOFF = (1, _SCALAR_DRAWS + 1)
+
+
 def test_overflow_guard_trips_on_all_poisson_model():
     model = poisson_case_model(4)
     assert model.poisson_mixture[2:] == ((), ())  # all Poisson
     with pytest.raises(OverflowGuardError):
         simulate_trajectory(model, 3, seed=0, initial=[0, 2**53 + 1, 0])
-    with pytest.raises(OverflowGuardError):
-        step_ensemble(model, np.array([[1, 2, 3], [2**53 + 1, 0, 0]]), np.random.default_rng(0))
+    for replicas in BOTH_SIDES_OF_THE_CUTOFF:
+        states = np.tile([1, 2, 3], (replicas, 1))
+        states[-1, 0] = 2**53 + 1
+        with pytest.raises(OverflowGuardError):
+            step_ensemble(model, states, np.random.default_rng(0))
 
 
 def test_rates_past_numpys_sampler_limit_raise_the_overflow_guard():
@@ -148,12 +156,15 @@ def test_rates_past_numpys_sampler_limit_raise_the_overflow_guard():
     with pytest.raises(OverflowGuardError, match="lam value too large"):
         simulate_trajectory(model, 3, 0, initial=[2**53])
     geometric = build_model([Geometric([1e-7])], Poisson([1.0]))
-    with pytest.raises(OverflowGuardError):
-        step_ensemble(geometric, np.array([[2**40]]), np.random.default_rng(0))
-    # a negative state is bad input on both draw paths, not an overflow
-    for law in (model, geometric):
-        with pytest.raises(ValidationError, match="nonnegative"):
-            step_ensemble(law, np.array([[-3]]), np.random.default_rng(0))
+    for replicas in BOTH_SIDES_OF_THE_CUTOFF:
+        with pytest.raises(OverflowGuardError, match="lam value too large"):
+            step_ensemble(model, np.full((replicas, 1), 2**53), np.random.default_rng(0))
+        with pytest.raises(OverflowGuardError, match="lam value too large"):
+            step_ensemble(geometric, np.full((replicas, 1), 2**40), np.random.default_rng(0))
+        # a negative state is bad input on both draw paths, not an overflow
+        for law in (model, geometric):
+            with pytest.raises(ValidationError, match="nonnegative"):
+                step_ensemble(law, np.full((replicas, 1), -3), np.random.default_rng(0))
 
 
 def test_step_ensemble_guards_allow_an_empty_batch():
@@ -176,8 +187,10 @@ def test_step_ensemble_guard_bounds_are_inclusive_where_they_were():
 def test_geometric_immigration_past_numpys_sampler_limit_raises_the_overflow_guard():
     # Exp(1) * (1-p)/p with p = 1e-30 is far past the largest Poisson rate numpy draws
     model = build_model([Poisson([1.0])], Geometric([1e-30]))
-    with pytest.raises(OverflowGuardError, match="numpy's sampler"):
-        step_ensemble(model, np.array([[0], [5]]), np.random.default_rng(0))
+    for replicas in BOTH_SIDES_OF_THE_CUTOFF:
+        states = np.arange(replicas)[:, None] * 5
+        with pytest.raises(OverflowGuardError, match="numpy's sampler"):
+            step_ensemble(model, states, np.random.default_rng(0))
 
 
 def test_float_steps_and_replicas_are_rejected():
@@ -366,6 +379,136 @@ def test_step_ensemble_draws_the_transition_law_of_mixed_models():
             # var of a sample variance: (mu4 - sigma^4) / R = (kappa4 + 2 kappa2^2) / R
             assert np.all(np.abs(mean - k1) <= 5.0 * np.sqrt(k2 / replicas)), (picks, mean, k1)
             assert np.all(np.abs(var - k2) <= 5.0 * np.sqrt((k4 + 2 * k2**2) / replicas)), (picks, var, k2)
+
+
+def _reference_poisson_rate(law, counts, rng):
+    """``Geometric.poisson_rate`` with its Gammas drawn by one array call."""
+    rate = np.zeros((counts.size, law.dim))
+    live = law.p < 1.0
+    odds = (1.0 - law.p[live]) / law.p[live]
+    rate[:, live] = rng.standard_gamma(counts[:, None], size=(counts.size, odds.size)) * odds
+    return rate
+
+
+def _reference_step(model, states, rng):
+    """``step_ensemble`` with one array call for its Poisson variates and each law's Gammas."""
+    rates, immigration_rate, mixed, other = model.poisson_mixture
+    replicas = states.shape[0]
+    nxt = np.zeros_like(states)
+    if rates is not None:
+        rate = states @ rates.T + immigration_rate
+        for law, i in mixed:
+            counts = np.ones(replicas, dtype=np.int64) if i is None else states[:, i]
+            rate += _reference_poisson_rate(law, counts, rng)
+        nxt = rng.poisson(rate)
+    for law, i in other:
+        nxt += law.sample(replicas, rng) if i is None else law.sample_sum(states[:, i], rng)
+    return nxt
+
+
+def _oracle_models(p: int, rng: np.random.Generator):
+    """An all-Poisson, an all-Geometric and a Poisson/Geometric/Bernoulli model on p types."""
+    mixed = ("poisson", "geometric", "bernoulli")
+    return [
+        build_model(
+            [_random_law(kind, p, rng) for kind in kinds[:p]], _random_law(kinds[p], p, rng)
+        )
+        for kinds in (["poisson"] * (p + 1), ["geometric"] * (p + 1), [mixed[i % 3] for i in range(p + 1)])
+    ]
+
+
+def _same_draws(a: np.ndarray, b: np.ndarray, rng_a, rng_b) -> bool:
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.tobytes() == b.tobytes()
+        and rng_a.bit_generator.state == rng_b.bit_generator.state
+    )
+
+
+def test_small_and_large_batches_draw_the_array_call_stream():
+    # Small batches draw one scalar variate at a time; the values and the
+    # generator state must equal those of one array call, on both sides of
+    # the cutoff, for every model kind whose step draws Poisson or Gamma
+    # variates.  States include zeros (Gamma shape 0 draws nothing) and reach
+    # Poisson rates on both sides of numpy's switch of algorithm at 10.
+    model_rng = np.random.default_rng(1818)
+    for p in (1, 3, 4):
+        for model in _oracle_models(p, model_rng):
+            for replicas in range(2 * _SCALAR_DRAWS + 1):
+                states = model_rng.integers(0, 12, size=(replicas, p)) * (model_rng.random((replicas, p)) < 0.8)
+                seed = int(model_rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = step_ensemble(model, states, rng_a)
+                assert _same_draws(drawn, _reference_step(model, states, rng_b), rng_a, rng_b), (
+                    p, replicas, model.to_dict()
+                )
+
+
+def test_draw_matches_the_array_call_for_every_parameter_range():
+    model_rng = np.random.default_rng(1819)
+    samplers = (
+        # Poisson rates 0, below 10 and above 10; Gamma shapes 0, 1 and larger
+        ("poisson", np.int64, lambda n: model_rng.choice([0.0, 1.0, 3.5, 9.99, 10.0, 47.3, 1e4], size=n)),
+        ("standard_gamma", float, lambda n: model_rng.choice([0, 1, 2, 7, 1000], size=n)),
+    )
+    for name, dtype, params in samplers:
+        for size in range(2 * _SCALAR_DRAWS + 1):
+            for shape in ((size,), (size, 1), (1, size), (2, size)):
+                values = params(int(np.prod(shape))).reshape(shape)
+                seed = int(model_rng.integers(2**32))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = _draw(getattr(rng_a, name), values, dtype)
+                assert _same_draws(drawn, getattr(rng_b, name)(values), rng_a, rng_b), (name, values)
+
+
+def test_geometric_rates_match_the_array_call():
+    model_rng = np.random.default_rng(1820)
+    for law in (Geometric([0.5]), Geometric([0.3, 1.0, 0.8]), Geometric([1.0, 1.0]), Geometric([0.2, 0.9, 0.6, 1.0])):
+        for size in range(2 * _SCALAR_DRAWS + 1):
+            counts = model_rng.integers(0, 6, size=size)
+            seed = int(model_rng.integers(2**32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            rate = law.poisson_rate(counts, rng_a)
+            assert _same_draws(rate, _reference_poisson_rate(law, counts, rng_b), rng_a, rng_b)
+            drawn = law.sample_sum(counts, rng_a)
+            reference = rng_b.poisson(_reference_poisson_rate(law, counts, rng_b))
+            assert _same_draws(drawn, reference, rng_a, rng_b)
+
+
+def test_long_trajectories_draw_the_array_call_stream():
+    # critical pattern-4 models (A lower unipotent), so 300 generations stay small
+    models = [
+        poisson_case_model(4),
+        build_model(
+            [Geometric([0.5, 2 / 3, 1.0]), Geometric([1.0, 0.5, 2 / 3]), Geometric([1.0, 1.0, 0.5])],
+            Geometric([0.5, 0.4, 1.0]),
+        ),
+        build_model(
+            [Poisson([1.0, 0.5, 0.0]), Geometric([1.0, 0.5, 2 / 3]), Bernoulli([0.0, 0.0, 1.0])],
+            Geometric([0.5, 0.5, 0.6]),
+        ),
+    ]
+    for model in models:
+        for seed, replica in ((5, 0), (5, 3)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
+            state = np.zeros((1, 3), dtype=np.int64)
+            expected = [state]
+            for _ in range(300):
+                state = _reference_step(model, state, rng)
+                expected.append(state)
+            traj = simulate_trajectory(model, 300, seed, replica=replica)
+            assert traj.states.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_step_ensemble_rejects_non_integer_float_states():
+    model = build_model([Deterministic([1])], Deterministic([0]))
+    for bad in ([[1.7]], [[np.nan]], [[np.inf]], [[-2.0]], [["3"]]):
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            step_ensemble(model, np.array(bad), np.random.default_rng(0))
+    for good in ([[2.0]], np.array([[2]], dtype=np.uint8), [[True]]):
+        nxt = step_ensemble(model, np.array(good), np.random.default_rng(0))
+        assert nxt.dtype == np.int64 and nxt.tolist() == [[int(np.asarray(good)[0, 0])]]
 
 
 def _coordinate_pmf(model, x, j: int, support: int) -> np.ndarray:
