@@ -239,11 +239,12 @@ def run_convergence_experiment(
     gwi_seed, sde_seed = root.spawn(2)
     sde_samples = limit_system_marginals(system, t_points, dt, sde_paths, sde_seed)
 
-    gamma_law = None
+    # per t, independent of n: the limit means and coordinate 0's exact Gamma law
+    limit_means = [limit_mean_vector(system, t) for t in t_points]
     try:
-        gamma_law = exact_first_coordinate_law(system.b[0], system.v[0], 1.0)
-    except DegenerateLawError:
-        pass
+        gamma_laws = [exact_first_coordinate_law(system.b[0], system.v[0], t) for t in t_points]
+    except DegenerateLawError:  # v = 0 or b = 0 at every t alike
+        gamma_laws = [None] * len(t_points)
 
     horizon = math.ceil(max(n_list) * max(t_points))
     record = sorted({math.floor(n * t) for n in n_list for t in t_points})
@@ -258,7 +259,7 @@ def run_convergence_experiment(
             raw = recorded[:, position[k], :].astype(float)[:, perm]
             scaled = _scale(raw, n, exps)
             exact_scaled = _scale(cid.apply_vector(exact_means[k]), n, exps)
-            limit_mu = limit_mean_vector(system, t)
+            limit_mu, law = limit_means[ti], gamma_laws[ti]
             for c in range(3):
                 xs = scaled[:, c]
                 ys = sde_samples[:, ti, c]
@@ -267,8 +268,7 @@ def run_convergence_experiment(
                 half = float(z * math.sqrt(max(variance, 0.0) / replicas))
                 ks_stat, ks_p = ks_two_sample(xs, ys)
                 gamma_stat = gamma_p = None
-                if c == 0 and gamma_law is not None:
-                    law = exact_first_coordinate_law(system.b[0], system.v[0], t)
+                if c == 0 and law is not None:
                     # the unfrozen cdf: freezing formats scipy's docstrings on every call
                     res = stats.kstest(xs, "gamma", args=(law.shape, 0.0, law.scale))
                     gamma_stat, gamma_p = float(res.statistic), float(res.pvalue)

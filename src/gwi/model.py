@@ -56,14 +56,14 @@ def _check_square_nonneg(a, name: str = "A") -> np.ndarray:
     return arr
 
 
-def _lower_unipotent(a, tol: float = ZERO_TOL) -> bool:
-    """True iff ``a`` is square with |diag - 1| <= tol and |upper| <= tol."""
+def _lower_unipotent(a) -> bool:
+    """True iff ``a`` is square with |diag - 1| <= ZERO_TOL and |upper| <= ZERO_TOL."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    if np.any(np.abs(np.diag(a) - 1.0) > tol):
+    if np.any(np.abs(np.diag(a) - 1.0) > ZERO_TOL):
         return False
-    return not np.any(np.abs(np.triu(a, 1)) > tol)
+    return not np.any(np.abs(np.triu(a, 1)) > ZERO_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,19 +304,21 @@ class CaseId:
         return np.asarray(v)[np.asarray(self.permutation)]
 
 
-def detect_case(a, tol: float = ZERO_TOL) -> CaseId:
+def detect_case(a) -> CaseId:
     """Classify a 3x3 lower-unipotent mean matrix into patterns 1-4.
 
+    An entry is present when it is strictly positive, as in the growth
+    degrees; ``ZERO_TOL`` bounds only the diagonal and the upper entries.
     The two sign patterns not in the table (only a32 positive, only a21
     positive) are normalized to pattern 2 by the returned coordinate swap.
     """
     a = _check_square_nonneg(a)
     if a.shape != (3, 3):
         raise ValidationError("detect_case needs a 3x3 matrix")
-    if not _lower_unipotent(a, tol):
+    if not _lower_unipotent(a):
         raise ValidationError("matrix must be lower triangular with unit diagonal")
 
-    a21, a31, a32 = a[1, 0] > tol, a[2, 0] > tol, a[2, 1] > tol
+    a21, a31, a32 = a[1, 0] > 0, a[2, 0] > 0, a[2, 1] > 0
     if not a21 and not a31 and not a32:
         return CaseId(1)
     if not a21 and a31:

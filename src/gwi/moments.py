@@ -12,11 +12,11 @@ a horizon K; :func:`mean_vector` and :func:`variance_matrix` read one row.
 For a lower triangular A with unit diagonal the nilpotent part C = A - I
 satisfies C^p = 0, so every power of A is the finite binomial sum
 ``A^k = sum_m binom(k, m) C^m``.  This closed form gives the mean polynomial
-in the binomial basis, the growth exponent of coordinate i (read off the
-positivity pattern of the powers of C) and the leading asymptotic term (the
-top nonzero coefficient of the mean polynomial).  Binomial coefficients are
-exact Python integers; integer-valued matrices are computed in exact integer
-arithmetic, float matrices in float64.
+in the binomial basis and the leading asymptotic term (the top nonzero
+coefficient of the mean polynomial).  Binomial coefficients are exact Python
+integers; integer-valued matrices are computed in exact integer arithmetic,
+float matrices in float64.  The growth degrees take no power of C: they are
+chains of strictly positive entries, the sign rule of ``detect_case``.
 """
 
 from __future__ import annotations
@@ -170,30 +170,36 @@ def variance_matrix(model: GwiModel, k: int) -> np.ndarray:
 class GrowthExponents:
     """Polynomial growth scales of the mean.
 
-    ``degrees[i]`` is the largest m such that some entry of row i of
-    (A - I)^(m-1) is positive; E X_{k, i} = O(k^degrees[i]).
+    ``degrees[i]`` is one plus the length m of the longest chain
+    j_0 -> j_1 -> ... -> j_m = i with every a_{j_(k+1) j_k} > 0;
+    E X_{k, i} = O(k^degrees[i]).
     """
 
     degrees: tuple[int, ...]
 
 
 def growth_exponents(a, b) -> GrowthExponents:
-    """Read the growth degrees off the positivity pattern of the nilpotent powers."""
-    uni = UnipotentMatrix(a)
+    """Read the growth degrees off boolean powers of E_ij = (a_ij > 0, i > j).
+
+    Row i of E^m is nonzero exactly when a chain of length m ends at i, so no
+    product of entries can overflow or underflow into a different degree.
+    """
+    a = np.asarray(a)
+    if not _lower_unipotent(a):
+        raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
+    p = a.shape[0]
     b = np.asarray(b, dtype=float)
-    if b.shape != (uni.p,):
-        raise ValidationError(f"b must be a {uni.p}-vector")
+    if b.shape != (p,):
+        raise ValidationError(f"b must be a {p}-vector")
     if np.any(b < 0):
         raise ValidationError("b must be nonnegative")
-    degrees = []
-    for i in range(uni.p):
-        best = 1
-        for m in range(1, uni.p):
-            row = np.asarray(uni.c_powers[m][i], dtype=float)
-            if np.any(row > 0):
-                best = m + 1
-        degrees.append(best)
-    return GrowthExponents(degrees=tuple(degrees))
+    edge = np.tril(a > 0, -1)
+    chains = edge
+    degrees = np.ones(p, dtype=int)
+    for m in range(2, p + 1):
+        degrees[chains.any(axis=1)] = m
+        chains = chains @ edge
+    return GrowthExponents(degrees=tuple(degrees.tolist()))
 
 
 def leading_asymptotic(model: GwiModel, i: int) -> tuple[int, float]:

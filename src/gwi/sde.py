@@ -1,25 +1,23 @@
 """Limit diffusion systems of 3-type lower-unipotent processes, and their means.
 
-One rule gives every coordinate.  With d = ``growth_exponents(A, b).degrees``
-the growth degrees of the normalized mean matrix A:
+Every limit system is one affine diffusion from zero (Duffie, Filipovic &
+Schachermayer 2003), dX = (beta + B X) dt + diag(sqrt(v_i X_i)) dW with
+independent W_i.  With d = ``growth_exponents(A, b).degrees`` the growth
+degrees of the normalized mean matrix A, beta_i = b_i and v_i are kept where
+d_i = 1 and 0 elsewhere, and B_ij = a_ij where d_j = d_i - 1, else 0.  So X_i
+is a squared Bessel process if d_i = 1, and otherwise
+X_i = int_0^t sum_j B_ij X_j(s) ds.  Applied twice, this gives the 2-fold
+iterated integral of pattern 4, which also has the kernel forms (t - s) and
+(t - s)^2 / 2 (see :func:`kernel_representation_check`).  The limit mean is
+E X_i(t) = c_i t^(d_i) / d_i! with c = beta + B c (B is nilpotent).
 
-* d_i = 1: X_i is a squared Bessel process started at zero,
-  dX_i = b_i dt + sqrt(v_i max(X_i, 0)) dW_i, with independent W_i;
-* d_i > 1: X_i = int_0^t sum_{j: d_j = d_i - 1} a_ij X_j(s) ds.
-
-Applied twice, the second case gives the 2-fold iterated integral of pattern
-4, which also has the kernel forms (t - s) and (t - s)^2 / 2 (see
-:func:`kernel_representation_check`).  The same rule gives the limit mean
-E X_i(t) = c_i t^(d_i) / d_i!, with c_i = b_i if d_i = 1 and
-c_i = sum_j a_ij c_j over the same j otherwise.
-
-One streaming kernel integrates every system on a time grid.  Squared Bessel
-coordinates take Euler-Maruyama steps (the positive part sits inside the
-square root exactly as in the SDE, and each step is clamped at zero so paths
-stay nonnegative); integral coordinates take trapezoidal steps on the same
-grid.  A lone squared Bessel process is coordinate 0 of
-``LimitSystem(case=1, b=(b, 0, 0), v=(v, 0, 0))``: a zero ``v`` draws
-nothing.
+One streaming kernel integrates every triple on a time grid.  Rows with
+v_i > 0 take Euler-Maruyama squared Bessel steps (the positive part sits
+inside the square root exactly as in the SDE, and each step is clamped at
+zero so paths stay nonnegative); every other row, constant or integral, takes
+the trapezoid of beta_i + sum_j B_ij X_j.  A lone squared Bessel process is
+coordinate 0 of ``LimitSystem(case=1, b=(b, 0, 0), v=(v, 0, 0))``: a zero
+``v`` draws nothing.
 
 The kernel runs in blocks of steps.  Each block draws the normals of its k
 squared Bessel coordinates with v > 0 in one
@@ -49,6 +47,7 @@ from .moments import growth_exponents
 from .simulate import _integer, check_seed
 
 __all__ = [
+    "AffineTriple",
     "LimitSystem",
     "SdePath",
     "GammaLaw",
@@ -62,6 +61,14 @@ __all__ = [
 ]
 
 
+class AffineTriple(NamedTuple):
+    """dX = (beta + B X) dt + diag(sqrt(v_i X_i)) dW, as read-only float arrays."""
+
+    beta: np.ndarray
+    B: np.ndarray
+    v: np.ndarray
+
+
 @dataclass(frozen=True)
 class LimitSystem:
     """Drift/diffusion parameters of one limit system.
@@ -69,11 +76,11 @@ class LimitSystem:
     ``b[i]`` is the immigration mean of coordinate i+1, ``v[i]`` the offspring
     variance of type i+1 in its own coordinate; a21/a31/a32 are the
     sub-diagonal mean-matrix entries, whose sign pattern must be pattern
-    ``case`` without a coordinate swap.  Derived at construction:
-    ``exponents`` holds the growth degrees d of the mean matrix (the scaling
-    exponents of the pattern), and ``sources[i]`` the pairs (j, a_ij) with
-    d_j = d_i - 1 and a_ij > 0 that coordinate i integrates; it is empty
-    exactly for the squared Bessel coordinates (d_i = 1).
+    ``case`` without a coordinate swap (an entry counts when it is strictly
+    positive).  Derived at construction: ``exponents`` holds the growth
+    degrees d of the mean matrix (the scaling exponents of the pattern), and
+    ``affine`` the triple (beta, B, v) of the module docstring, which ``==``
+    and ``hash`` leave out.
     """
 
     case: int
@@ -83,7 +90,7 @@ class LimitSystem:
     a31: float = 0.0
     a32: float = 0.0
     exponents: tuple[int, int, int] = field(init=False)
-    sources: tuple[tuple[tuple[int, float], ...], ...] = field(init=False, repr=False)
+    affine: AffineTriple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         params = (*self.b, *self.v, self.a21, self.a31, self.a32)
@@ -91,23 +98,21 @@ class LimitSystem:
             raise ValidationError("all limit-system parameters must be finite and nonnegative")
         a = np.eye(3)
         a[1, 0], a[2, 0], a[2, 1] = self.a21, self.a31, self.a32
-        cid = detect_case(a, tol=0.0)
+        cid = detect_case(a)
         if cid.value != self.case or not cid.is_identity:
             raise ValidationError(
                 f"(a21, a31, a32) = ({self.a21}, {self.a31}, {self.a32}) "
                 f"does not match pattern {self.case}"
             )
         degrees = growth_exponents(a, self.b).degrees
-        sources = tuple(
-            tuple(
-                (j, float(a[i, j]))
-                for j in range(i)
-                if degrees[j] == degrees[i] - 1 and a[i, j] > 0
-            )
-            for i in range(3)
-        )
+        besq = np.array(degrees) == 1
+        chain = np.subtract.outer(degrees, degrees) == 1  # d_i = d_j + 1
+        kept = ((besq, self.b), (chain, a), (besq, self.v))
+        affine = AffineTriple(*(np.where(mask, np.asarray(x, dtype=float), 0.0) for mask, x in kept))
+        for array in affine:
+            array.setflags(write=False)
         object.__setattr__(self, "exponents", degrees)
-        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "affine", affine)
 
     @classmethod
     def from_model(cls, model: GwiModel) -> "LimitSystem":
@@ -120,18 +125,10 @@ class LimitSystem:
         if model.p != 3:
             raise ValidationError("limit systems are defined for 3-type models")
         cid = detect_case(model.A)
-        perm = list(cid.permutation)
-        a = cid.apply_matrix(model.A)
-        b = cid.apply_vector(model.b)
-        v = tuple(float(model.V[perm[i] + 1][perm[i], perm[i]]) for i in range(3))
-        return cls(
-            case=cid.value,
-            b=tuple(float(x) for x in b),
-            v=v,
-            a21=float(a[1, 0]),
-            a31=float(a[2, 0]),
-            a32=float(a[2, 1]),
-        )
+        a = cid.apply_matrix(model.A).tolist()
+        b = tuple(cid.apply_vector(model.b).tolist())
+        v = tuple(float(model.V[i + 1][i, i]) for i in cid.permutation)
+        return cls(case=cid.value, b=b, v=v, a21=a[1][0], a31=a[2][0], a32=a[2][1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +146,11 @@ class GammaLaw(NamedTuple):
 
 
 def make_grid(horizon: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, 2 dt, ..., covering [0, horizon]."""
+    """Uniform grid 0, dt, 2 dt, ..., covering [0, horizon] in fewer than 2**53 steps."""
     if not (math.isfinite(horizon) and dt > 0 and horizon > 0):
         raise ValidationError("horizon and dt must be positive and finite")
+    if not horizon / dt < 2**53:
+        raise ValidationError(f"horizon / dt = {horizon / dt:.6g} steps, more than 2**53")
     steps = int(round(horizon / dt))
     if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         steps = int(np.ceil(horizon / dt))
@@ -174,12 +173,15 @@ def _check_grid(grid) -> np.ndarray:
 _BLOCK_BYTES = 64 * 1024
 
 
-def _flow(sources, x: np.ndarray) -> np.ndarray:
-    """sum_j a_ij X_j over one coordinate's sources, added in source order.
+def _flow(terms, x: np.ndarray) -> np.ndarray:
+    """sum_j B_ij X_j over one row's nonzero terms (j, B_ij), added in order of j.
 
-    ``x`` holds states as (step, coordinate, path); the result is (step, path).
+    ``x`` holds states as (step, coordinate, path); the result is (step, path),
+    or a (step, 1) column of zeros for a row with no terms.
     """
-    (j, a), *rest = sources
+    if not terms:
+        return np.zeros((x.shape[0], 1))
+    (j, a), *rest = terms
     total = a * x[:, j]
     for j, a in rest:
         total = total + a * x[:, j]
@@ -207,19 +209,19 @@ def _per_row(values: list) -> np.ndarray:
     return np.array(values[0] if len(set(values)) == 1 else [[x] for x in values], dtype=float)
 
 
-def _integrate(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
-    """Stream one limit system from X(0) = 0 over the time steps ``dts``.
+def _integrate(beta, B, v, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
+    """Stream the affine system (beta, B, v) from X(0) = 0 over the time steps ``dts``.
 
     Returns the states after the steps listed in ``record_at`` (0 is the
-    start), shape (n_paths, len(record_at), p).  The coordinates without
-    sources and with v > 0 take squared Bessel steps, together and in place,
-    drawing n_paths normals each per step in coordinate order.  A coordinate
-    without sources and with v = 0 adds b dt per step, and a coordinate with
-    sources adds the trapezoid of sum_j a_ij X_j.
+    start), shape (n_paths, len(record_at), p).  The rows with v_i > 0 take
+    squared Bessel steps with drift beta_i, together and in place, drawing
+    n_paths normals each per step in coordinate order; their row of B must be
+    zero, as in every :class:`LimitSystem`.  Every other row adds the
+    trapezoid of beta_i + sum_j B_ij X_j per step.
 
     Steps run in blocks of at most ``_BLOCK_BYTES`` of normals.  A block
     draws them with one ``standard_normal((steps, k, n_paths))`` call, the
-    same stream as k draws per step, and every other coordinate forms its
+    same stream as k draws per step, and every other row forms its
     increments once per block and adds them as a running sum.  Only one
     block of states is held.
 
@@ -230,23 +232,26 @@ def _integrate(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> 
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _kernel(b, v, sources, dts, record_at, n_paths, rng)
+            return _kernel(beta, B, v, dts, record_at, n_paths, rng)
     except FloatingPointError as exc:
         raise OverflowGuardError(f"limit-system path left the finite floats: {exc}") from exc
 
 
-def _kernel(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
+def _kernel(beta, B, v, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
     """The body of :func:`_integrate`, run under its error state."""
     n_paths = _integer(n_paths, "n_paths")
     if n_paths < 1:
         raise ValidationError("the number of paths must be >= 1")
-    p = len(b)
-    drawn = [i for i in range(p) if not sources[i] and v[i] > 0]
+    beta, B, v = (np.asarray(c, dtype=float).tolist() for c in (beta, B, v))
+    p = len(beta)
+    drawn = [i for i in range(p) if v[i] > 0]
+    # each other row's drift: beta_i and the nonzero terms (j, B_ij), built once per call
+    drifts = [(i, beta[i], [(j, a) for j, a in enumerate(B[i]) if a]) for i in range(p) if i not in drawn]
     k = len(drawn)
     # any subset of three rows is evenly spaced, so one slice selects them
     stride = drawn[1] - drawn[0] if k > 1 else 1
     rows = slice(drawn[0], drawn[-1] + 1, stride) if drawn else slice(0)
-    v_rows, b_rows = (_per_row([c[i] for i in drawn]) for c in (v, b))
+    v_rows, b_rows = (_per_row([c[i] for i in drawn]) for c in (v, beta))
     zero = np.zeros(())
     steps = dts.size
     block = max(1, min(steps, _BLOCK_BYTES // (8 * n_paths * max(k, 1))))
@@ -275,15 +280,14 @@ def _kernel(b, v, sources, dts: np.ndarray, record_at, n_paths: int, rng) -> np.
                 nxt += scaled
                 np.maximum(nxt, zero, out=nxt)
         half = (0.5 * h)[:, None]
-        for i, src in enumerate(sources):
-            if i in drawn:
-                continue
+        for i, beta_i, terms in drifts:
+            # the trapezoid of beta_i + sum_j B_ij X_j is that of the sum plus beta_i h;
+            # beta_i is added only where it is nonzero, so integral rows pay no pass for it
             path = x[:, i]
-            if src:
-                flow = _flow(src, x)
-                np.multiply(half, flow[:-1] + flow[1:], out=path[1:])
-            else:
-                path[1:] = (b[i] * h)[:, None]
+            flow = _flow(terms, x)
+            np.multiply(half, flow[:-1] + flow[1:], out=path[1:])
+            if beta_i:
+                path[1:] += (beta_i * h)[:, None]
             _running_sum(path)
         last = bisect.bisect_right(record_steps, done + size, first)
         while first < last:  # copy each run of consecutive steps to consecutive slots
@@ -306,13 +310,7 @@ def simulate_limit_system(
     grid = _check_grid(grid)
     seed = check_seed(seed)
     values = _integrate(
-        system.b,
-        system.v,
-        system.sources,
-        np.diff(grid),
-        range(grid.size),
-        n_paths,
-        np.random.default_rng(seed),
+        *system.affine, np.diff(grid), range(grid.size), n_paths, np.random.default_rng(seed)
     )
     return SdePath(grid=grid, values=values, seed=seed)
 
@@ -340,30 +338,25 @@ def limit_system_marginals(
     indices = _grid_indices(t_points, dt).tolist()
     seed = check_seed(seed)
     return _integrate(
-        system.b,
-        system.v,
-        system.sources,
-        np.full(max(indices), dt, dtype=float),
-        indices,
-        n_paths,
-        np.random.default_rng(seed),
+        *system.affine, np.full(max(indices), dt, dtype=float), indices, n_paths, np.random.default_rng(seed)
     )
 
 
 def limit_mean_vector(system: LimitSystem, t: float) -> np.ndarray:
     """Closed-form E[X_t] = c_i t^(d_i) / d_i! of the limit system.
 
-    c_i = b_i for a squared Bessel coordinate, c_i = sum_j a_ij c_j over its
-    sources otherwise.
+    c solves c = beta + B c by forward substitution over the lower triangular
+    B, adding the nonzero terms B_ij c_j to beta_i in order of j.
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
     c: list[float] = []
-    for i, src in enumerate(system.sources):
-        c.append(sum(a * c[j] for j, a in src) if src else system.b[i])
-    return np.array(
-        [ci * t**d / math.factorial(d) for ci, d in zip(c, system.exponents)]
-    )
+    for beta_i, row in zip(system.affine.beta.tolist(), system.affine.B.tolist()):
+        for b_ij, c_j in zip(row, c):
+            if b_ij:
+                beta_i = beta_i + b_ij * c_j
+        c.append(beta_i)
+    return np.array([ci * t**d / math.factorial(d) for ci, d in zip(c, system.exponents)])
 
 
 def exact_first_coordinate_law(b: float, v: float, t: float) -> GammaLaw:

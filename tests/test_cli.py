@@ -760,3 +760,62 @@ def test_sde_paths_past_the_largest_float_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "finite floats" in err[0], err
     assert not out.exists()
+
+
+def _run_cli(*args) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so warnings reach stderr as a user sees them."""
+    src = str(Path(gwi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    program = "import sys; from gwi.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", program, *args],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_sde_with_huge_subdiagonals_writes_one_stderr_line():
+    # the growth degrees multiply no entries, so building the system warns about nothing
+    child = _run_cli(
+        "sde", "--case", "4", "--b1", "1", "--v1", "1", "--a21", "1e300", "--a32", "1e300",
+        "--dt", "0.5", "--horizon", "1", "--paths", "2",
+    )
+    assert child.returncode == 1
+    err = child.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "grid", [["--dt", "1e-300"], ["--dt", "0.3", "--horizon", "1e308"]], ids=["tiny-dt", "huge-horizon"]
+)
+def test_sde_grid_past_2_53_steps_exits_2(tmp_path, capsys, grid):
+    assert main(["sde", "--case", "1", "--b1", "1", "--v1", "1", *grid, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "2**53" in err[0], err
+
+
+@pytest.fixture
+def tiny_a21_model_path(tmp_path) -> str:
+    # a21 = 1e-13 is positive, so the pattern is "only a21": pattern 2 after swapping types 2 and 3
+    save_model(poisson_case_model(1, subdiagonals=(1e-13, 0.0, 0.0)), tmp_path / "tiny.json")
+    return str(tmp_path / "tiny.json")
+
+
+def test_classify_counts_a_tiny_positive_entry(tmp_path, capsys, tiny_a21_model_path):
+    out = tmp_path / "classify.json"
+    assert main(["classify", "--model", tiny_a21_model_path, "--out", str(out), "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("case 2, normalizing permutation [1, 3, 2], exponents (1, 2, 1)")
+    record = json.loads(out.read_text())
+    assert record["case"] == 2 and record["permutation"] == [1, 3, 2]
+
+
+def test_converge_runs_a_model_with_a_tiny_positive_entry(tmp_path, capsys, tiny_a21_model_path):
+    cfg = {
+        "model": tiny_a21_model_path, "n_list": [8], "t_points": [1.0], "replicas": 1000,
+        "sde_paths": 2, "dt": 0.125, "out_dir": str(tmp_path / "exp"),
+    }
+    for case, code in ((2, 0), (1, 2)):
+        cfg_path = tmp_path / f"case{case}.json"
+        cfg_path.write_text(json.dumps({**cfg, "case": case}))
+        assert main(["converge", "--config", str(cfg_path)]) == code
+    assert "model matches pattern 2" in capsys.readouterr().err
+    assert strip_timestamp(tmp_path / "exp" / "report.json")["permutation"] == [0, 2, 1]

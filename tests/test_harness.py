@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwi import (
     Geometric,
@@ -10,6 +12,7 @@ from gwi import (
     ValidationError,
     build_model,
     decomposition_components,
+    detect_case,
     growth_exponents,
     growth_fit,
     ks_two_sample,
@@ -50,6 +53,20 @@ def test_exponents_match_growth_exponents_for_random_patterns():
             )
             assert growth_exponents(model.A, model.b).degrees == EXPONENT_TABLE[case]
             assert LimitSystem.from_model(model).exponents == EXPONENT_TABLE[case]
+
+
+# one sign rule: an entry is present when it is positive, however small or large
+SUBDIAGONAL_VALUES = st.sampled_from([0.0, 1e-300, 1e-13, 0.5, 1e300])
+
+
+@settings(max_examples=125, deadline=None)
+@given(st.tuples(SUBDIAGONAL_VALUES, SUBDIAGONAL_VALUES, SUBDIAGONAL_VALUES))
+def test_pattern_and_degrees_agree_at_every_scale(subdiagonals):
+    model = poisson_case_model(1, subdiagonals=subdiagonals)
+    cid = detect_case(model.A)
+    expected = EXPONENT_TABLE[cid.value]
+    assert growth_exponents(cid.apply_matrix(model.A), cid.apply_vector(model.b)).degrees == expected
+    assert LimitSystem.from_model(model).exponents == expected
 
 
 def test_scaled_step_process_is_piecewise_constant():

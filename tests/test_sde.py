@@ -15,6 +15,7 @@ from gwi import (
     ValidationError,
     detect_case,
     exact_first_coordinate_law,
+    growth_exponents,
     kernel_representation_check,
     limit_mean_vector,
     limit_system_marginals,
@@ -33,6 +34,9 @@ def test_make_grid():
         make_grid(1.0, 0.0)
     with pytest.raises(ValidationError):
         make_grid(-1.0, 0.1)
+    for horizon, dt in ((1.0, 1e-300), (1e308, 0.3)):  # 1e300 steps, and a ratio that overflows
+        with pytest.raises(ValidationError, match="2\\*\\*53"):
+            make_grid(horizon, dt)
 
 
 def test_pure_drift_is_linear():
@@ -341,11 +345,14 @@ def _reference_flow(sources, xs):
     return total
 
 
-def _reference_integrate(b, v, sources, dts, record_at, n_paths, rng):
+def _reference_integrate(beta, B, v, dts, record_at, n_paths, rng):
     """The step-by-step kernel: one step of every coordinate at a time, in
     coordinate order, each squared Bessel coordinate with v > 0 drawing its
-    own n_paths normals."""
-    p = len(b)
+    own n_paths normals.  A row with a nonzero entry of B integrates its
+    sources (j, B_ij) (its beta is 0 in every system below); every other row
+    is a squared Bessel coordinate with drift beta_i."""
+    p = len(beta)
+    sources = [[(j, float(a)) for j, a in enumerate(row) if a] for row in B]
     slots = {}
     for pos, m in enumerate(record_at):
         slots.setdefault(m, []).append(pos)
@@ -359,7 +366,7 @@ def _reference_integrate(b, v, sources, dts, record_at, n_paths, rng):
                 new.append(state[i] + 0.5 * dt * trap)
             else:
                 normals = rng.standard_normal(n_paths) if v[i] > 0 else 0.0
-                new.append(_reference_besq_step(state[i], b[i], v[i], dt, normals))
+                new.append(_reference_besq_step(state[i], beta[i], v[i], dt, normals))
         state = new
         for pos in slots.get(m, ()):
             for i in range(p):
@@ -368,7 +375,7 @@ def _reference_integrate(b, v, sources, dts, record_at, n_paths, rng):
 
 
 def _both_kernels(system, dts, record_at, n_paths, seed):
-    args = (system.b, system.v, system.sources)
+    args = system.affine
     new = sde._integrate(*args, np.asarray(dts, dtype=float), record_at, n_paths, np.random.default_rng(seed))
     old = _reference_integrate(*args, list(dts), record_at, n_paths, np.random.default_rng(seed))
     return new, old
@@ -408,8 +415,7 @@ def test_block_kernel_matches_on_a_nonuniform_grid_and_through_the_public_api():
     for system in ORACLE_SYSTEMS.values():
         path = simulate_limit_system(system, grid, 7, n_paths=13)
         old = _reference_integrate(
-            system.b, system.v, system.sources, np.diff(grid).tolist(), range(grid.size), 13,
-            np.random.default_rng(7),
+            *system.affine, np.diff(grid).tolist(), range(grid.size), 13, np.random.default_rng(7)
         )
         assert path.values.tobytes() == old.tobytes()
         assert path.values.flags.c_contiguous
@@ -420,9 +426,7 @@ def test_block_kernel_records_step_zero_duplicates_and_unsorted_times():
     indices = [0, 500, 250, 500, 1000, 0]
     for system in ORACLE_SYSTEMS.values():
         new = limit_system_marginals(system, t_points, 1e-3, 40, seed=2)
-        old = _reference_integrate(
-            system.b, system.v, system.sources, [1e-3] * 1000, indices, 40, np.random.default_rng(2)
-        )
+        old = _reference_integrate(*system.affine, [1e-3] * 1000, indices, 40, np.random.default_rng(2))
         assert new.tobytes() == old.tobytes()
         assert np.all(new[:, 0] == 0.0) and np.array_equal(new[:, 1], new[:, 3])
 
@@ -430,10 +434,10 @@ def test_block_kernel_records_step_zero_duplicates_and_unsorted_times():
 def test_block_kernel_handles_integral_coordinates_before_squared_bessel_ones():
     # no LimitSystem has this order (see the test below), but the kernel does not need it:
     # coordinate 1 integrates coordinate 0 while coordinates 0 and 2 draw
-    b, v, sources = (1.0, 0.0, 2.0), (1.0, 0.0, 0.5), ((), ((0, 0.5),), ())
+    triple = (1.0, 0.0, 2.0), ((0, 0, 0), (0.5, 0, 0), (0, 0, 0)), (1.0, 0.0, 0.5)
     for n_paths, steps in ((25, 1000), (2500, 10)):
-        new = sde._integrate(b, v, sources, np.full(steps, 1e-3), range(steps + 1), n_paths, np.random.default_rng(4))
-        old = _reference_integrate(b, v, sources, [1e-3] * steps, range(steps + 1), n_paths, np.random.default_rng(4))
+        new = sde._integrate(*triple, np.full(steps, 1e-3), range(steps + 1), n_paths, np.random.default_rng(4))
+        old = _reference_integrate(*triple, [1e-3] * steps, range(steps + 1), n_paths, np.random.default_rng(4))
         assert new.tobytes() == old.tobytes()
 
 
@@ -444,14 +448,45 @@ def test_every_limit_system_lists_its_squared_bessel_coordinates_first():
                 system = LimitSystem(case=case, b=(1, 1, 1), v=(1, 1, 1), a21=a21, a31=a31, a32=a32)
             except ValidationError:
                 continue
-            besq = [not src for src in system.sources]
+            besq = [d == 1 for d in system.exponents]
             assert besq == sorted(besq, reverse=True), (case, a21, a31, a32)
+
+
+def test_limit_system_triple_follows_the_growth_degrees():
+    system = LimitSystem(case=4, b=(1.0, 2.0, 3.0), v=(0.5, 0.7, 0.9), a21=0.5, a31=0.3, a32=0.25)
+    beta, B, v = system.affine
+    assert beta.tolist() == [1.0, 0.0, 0.0] and v.tolist() == [0.5, 0.0, 0.0]
+    # a31 links degrees 1 and 3, so X_3 integrates X_2 only
+    assert B.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.25, 0.0]]
+    pattern3 = LimitSystem(case=3, b=(1.0, 2.0, 3.0), v=(0.5, 0.7, 0.9), a21=0.5, a31=0.3)
+    assert pattern3.affine.B.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.3, 0.0, 0.0]]
+    for array in (*system.affine, *pattern3.affine):
+        assert not array.flags.writeable
+
+
+def test_limit_system_stays_comparable_and_hashable():
+    first, second, other = (
+        LimitSystem(case=2, b=(1, 2, 2), v=(1, 1, 1), a31=0.5, a32=a32) for a32 in (0.5, 0.5, 0.25)
+    )
+    assert first == second and hash(first) == hash(second) and len({first, second}) == 1
+    assert first != other
+    with pytest.raises(AttributeError):
+        first.affine = other.affine
+
+
+def test_products_that_underflow_keep_the_iterated_integral():
+    # a32 * a21 = 1e-400 underflows to 0, but the chain a21 > 0, a32 > 0 has length 2
+    system = LimitSystem(case=4, b=(1, 0, 0), v=(1, 0, 0), a21=1e-200, a32=1e-200)
+    assert system.exponents == (1, 2, 3)
+    assert system.affine.B[2, 1] > 0
+    a = np.array([[1.0, 0.0, 0.0], [1e-200, 1.0, 0.0], [0.0, 1e-200, 1.0]])
+    assert growth_exponents(a, np.ones(3)).degrees == (1, 2, 3)
 
 
 def test_paths_that_overflow_raise_the_overflow_guard():
     # parameters LimitSystem accepts as finite, whose paths leave the finite floats
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the growth degrees' matrix powers overflow too
+        warnings.simplefilter("error")  # the growth degrees multiply no entries, so nothing warns
         system = LimitSystem(case=4, b=(1, 1, 1), v=(1e308, 1, 1), a21=1e300, a32=1e300)
     with pytest.raises(OverflowGuardError, match="finite floats"):
         limit_system_marginals(system, [1.0], 0.5, 3, 2)
