@@ -29,7 +29,7 @@ from .sde import (
     limit_mean_vector,
     limit_system_marginals,
 )
-from .simulate import _integer, check_seed, simulate_ensemble, stream_ensemble
+from .simulate import _integer, _prefix_sums, check_seed, simulate_ensemble, stream_ensemble
 
 __all__ = [
     "ScaledStepProcess",
@@ -76,21 +76,21 @@ def step_integral_functional(step_values, n: int, t: float):
           integral_0^{floor(nt)/n} f(floor(n s)) ds,
           integral_0^{floor(nt)/n} integral_0^{floor(nr)/n} f(floor(n s)) ds dr )
 
-    computed as exact panel sums (integer inputs stay integer until the final
-    division by n and n^2).
+    with k = floor(nt).  The integrals are S_1[k] / n and S_2[k] / n^2 of
+    ``simulate._prefix_sums`` over f_0..f_{k-1}, exact for integers until the
+    final division; ``n`` must be an integer >= 1 and ``t`` finite, >= 0.
     """
     values = np.asarray(step_values)
     if values.ndim != 1 or values.size == 0:
         raise ValidationError("step_values must be a nonempty 1-d sequence")
-    if n < 1 or t < 0:
-        raise ValidationError("need n >= 1 and t >= 0")
+    n = _integer(n, "n", 1)
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"t must be finite and >= 0, not {t!r}")
     k = math.floor(n * t)
     if k >= values.size:
         raise ValidationError(f"t = {t} needs value index {k}, got {values.size - 1}")
-    running = np.concatenate([[values[0] * 0], np.cumsum(values)])  # running[m] = sum_{h<m} f_h
-    single = running[k]
-    double = np.sum(running[:k])
-    return values[k], single / n, double / n**2
+    _, single, double = _prefix_sums(values[:k].tolist(), 2)
+    return values[k], single[k] / n, double[k] / n**2
 
 
 def ks_two_sample(xs, ys) -> tuple[float, float]:
@@ -375,8 +375,7 @@ def growth_fit(
     n_list = sorted(_integer(n, "n_list entry") for n in n_list)
     if not n_list or n_list[0] < 1:
         raise ValidationError("n_list must be positive integers")
-    if _integer(replicas, "replicas") < 2:
-        raise ValidationError("need at least 2 replicas")
+    _integer(replicas, "replicas", 2)
     key = np.random.SeedSequence(
         entropy=check_seed(seed, sequence=False), spawn_key=(n_list[-1],)
     )

@@ -12,10 +12,10 @@ a horizon K; :func:`mean_vector` and :func:`variance_matrix` read one row.
 For a lower triangular A with unit diagonal the nilpotent part C = A - I
 satisfies C^p = 0, so every power of A is the finite binomial sum
 ``A^k = sum_m binom(k, m) C^m``.  This closed form gives the mean polynomial
-in the binomial basis and the leading asymptotic term (the top nonzero
-coefficient of the mean polynomial).  Binomial coefficients are exact Python
-integers; integer-valued matrices are computed in exact integer arithmetic,
-float matrices in float64.  The growth degrees take no power of C: they are
+in the binomial basis, coefficients (C^m b)_i, and the leading asymptotic
+term.  Binomial coefficients are exact Python integers; integer-valued
+matrices are computed in exact integer arithmetic, float matrices in float64.
+The growth degrees and the leading degree take no power of C: they are
 chains of strictly positive entries, the sign rule of ``detect_case``.
 """
 
@@ -130,15 +130,23 @@ class MeanPolynomial:
 
 
 def mean_polynomial(model: GwiModel, i: int) -> MeanPolynomial:
-    """Binomial-basis coefficients of E X_{k, i} (0-based coordinate ``i``)."""
-    uni = UnipotentMatrix(model.A)
+    """Binomial-basis coefficients of E X_{k, i} (0-based coordinate ``i``).
+
+    coeffs[m] = (C^m b)_i with C = A - I, formed as C (C^(m-1) b).  Each is a
+    sum of products of nonnegative entries, taken with 0 * inf = 0: it reads
+    0.0 where the product underflows and inf where it overflows, never nan,
+    and no warning is raised.
+    """
+    if not _lower_unipotent(model.A):
+        raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
     if not (0 <= i < model.p):
         raise ValidationError(f"coordinate must be in 0..{model.p - 1}")
-    coeffs = tuple(
-        float(np.asarray(uni.c_powers[m], dtype=float)[i] @ model.b)
-        for m in range(model.p)
-    )
-    return MeanPolynomial(coordinate=i, coeffs=coeffs)
+    c = np.tril(model.A, -1)
+    terms = [model.b]
+    with np.errstate(all="ignore"):
+        for _ in range(1, model.p):
+            terms.append(np.where(c > 0, c * terms[-1], 0.0).sum(axis=1))
+    return MeanPolynomial(coordinate=i, coeffs=tuple(float(term[i]) for term in terms))
 
 
 def conditional_covariance(model: GwiModel, state) -> np.ndarray:
@@ -178,12 +186,23 @@ class GrowthExponents:
     degrees: tuple[int, ...]
 
 
-def growth_exponents(a, b) -> GrowthExponents:
-    """Read the growth degrees off boolean powers of E_ij = (a_ij > 0, i > j).
+def _chain_degrees(a, start) -> np.ndarray:
+    """One plus the longest chain of positive entries from a ``start`` type to i.
 
-    Row i of E^m is nonzero exactly when a chain of length m ends at i, so no
-    product of entries can overflow or underflow into a different degree.
+    0 where no chain reaches i.  Read off boolean products, so no product of
+    entries can overflow or underflow into another degree.
     """
+    edge = np.tril(np.asarray(a) > 0, -1)
+    reach = np.asarray(start, dtype=bool)
+    degrees = np.zeros(reach.shape, dtype=int)
+    for m in range(1, reach.size + 1):
+        degrees[reach] = m
+        reach = edge @ reach
+    return degrees
+
+
+def growth_exponents(a, b) -> GrowthExponents:
+    """Read the growth degrees off chains of positive entries, from every type."""
     a = np.asarray(a)
     if not _lower_unipotent(a):
         raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
@@ -193,24 +212,20 @@ def growth_exponents(a, b) -> GrowthExponents:
         raise ValidationError(f"b must be a {p}-vector")
     if np.any(b < 0):
         raise ValidationError("b must be nonnegative")
-    edge = np.tril(a > 0, -1)
-    chains = edge
-    degrees = np.ones(p, dtype=int)
-    for m in range(2, p + 1):
-        degrees[chains.any(axis=1)] = m
-        chains = chains @ edge
-    return GrowthExponents(degrees=tuple(degrees.tolist()))
+    return GrowthExponents(degrees=tuple(_chain_degrees(a, np.ones(p, dtype=bool)).tolist()))
 
 
 def leading_asymptotic(model: GwiModel, i: int) -> tuple[int, float]:
     """Dominant binomial term of E X_{k, i}: (degree, coefficient).
 
-    The top nonzero coefficient of :func:`mean_polynomial`, so that
-    E X_{k, i} = coefficient * binom(k, degree) + O(k^(degree - 1)).
-    Returns (0, 0.0) when E X_{k, i} is identically zero.
+    E X_{k, i} = coefficient * binom(k, degree) + O(k^(degree - 1)).  The
+    degree is one plus the longest chain of positive entries that ends at i
+    and starts at a type j with b_j > 0, (0, 0.0) if there is none.  The
+    coefficient is the :func:`mean_polynomial` one at that degree, 0.0 if it
+    underflows and inf if it overflows.
     """
     poly = mean_polynomial(model, i)
-    degree = poly.degree
+    degree = int(_chain_degrees(model.A, model.b > 0)[i])
     return (degree, poly.coeffs[degree - 1] if degree else 0.0)
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegenerateLawError, OverflowGuardError, ValidationError
 from .model import GwiModel, detect_case
 from .moments import growth_exponents
-from .simulate import _integer, check_seed
+from .simulate import _integer, _prefix_sums, check_seed
 
 __all__ = [
     "AffineTriple",
@@ -239,9 +239,7 @@ def _integrate(beta, B, v, dts: np.ndarray, record_at, n_paths: int, rng) -> np.
 
 def _kernel(beta, B, v, dts: np.ndarray, record_at, n_paths: int, rng) -> np.ndarray:
     """The body of :func:`_integrate`, run under its error state."""
-    n_paths = _integer(n_paths, "n_paths")
-    if n_paths < 1:
-        raise ValidationError("the number of paths must be >= 1")
+    n_paths = _integer(n_paths, "n_paths", 1)
     beta, B, v = (np.asarray(c, dtype=float).tolist() for c in (beta, B, v))
     p = len(beta)
     drawn = [i for i in range(p) if v[i] > 0]
@@ -348,8 +346,8 @@ def limit_mean_vector(system: LimitSystem, t: float) -> np.ndarray:
     c solves c = beta + B c by forward substitution over the lower triangular
     B, adding the nonzero terms B_ij c_j to beta_i in order of j.
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"t must be finite and nonnegative, not {t!r}")
     c: list[float] = []
     for beta_i, row in zip(system.affine.beta.tolist(), system.affine.B.tolist()):
         for b_ij, c_j in zip(row, c):
@@ -362,16 +360,19 @@ def limit_mean_vector(system: LimitSystem, t: float) -> np.ndarray:
 def exact_first_coordinate_law(b: float, v: float, t: float) -> GammaLaw:
     """Gamma(shape 2b/v, scale vt/2): the zero-start squared Bessel marginal.
 
-    Degenerate parameters raise :class:`DegenerateLawError` carrying the point
-    mass the law collapses to.
+    b and v must be finite and nonnegative, t finite and positive; v = 0 or
+    b = 0 raises :class:`DegenerateLawError` carrying the point mass the law
+    collapses to.
     """
-    if t <= 0:
-        raise ValidationError("t must be positive")
-    if v <= 0:
+    if not 0 < t < math.inf:
+        raise ValidationError(f"t must be finite and positive, not {t!r}")
+    if not (0 <= b < math.inf and 0 <= v < math.inf):
+        raise ValidationError(f"b and v must be finite and nonnegative, not b = {b!r}, v = {v!r}")
+    if v == 0:
         raise DegenerateLawError(
             f"v = {v}: the path is deterministic, X(t) = b*t", point_mass=b * t
         )
-    if b <= 0:
+    if b == 0:
         raise DegenerateLawError(
             "b = 0: started from zero the process is absorbed at zero", point_mass=0.0
         )
@@ -420,9 +421,7 @@ def kernel_representation_check(
     single_trap = np.trapezoid(x, s)
     single_stieltjes = np.sum((t - s[:-1]) * dx)
 
-    running = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(s) * (x[:-1] + x[1:]))]
-    )
+    running = _prefix_sums((0.5 * np.diff(s) * (x[:-1] + x[1:])).tolist(), 1)[1]
     iterated = np.trapezoid(running, s)
     kernel = np.trapezoid((t - s) * x, s)
     stieltjes2 = 0.5 * np.sum((t - s[:-1]) ** 2 * dx)

@@ -14,6 +14,9 @@ and not on which other replicas run.  One ensemble stream:
 :func:`simulate_ensemble` records chosen generations of many replicas drawn
 from a single generator with vectorized draws, the fast path for large Monte
 Carlo estimates.  Both are deterministic given their seeds.
+
+The path decomposition, the sum identities and the step integrals of
+``gwi.harness`` all read one m-fold exclusive prefix sum, :func:`_prefix_sums`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -68,12 +72,18 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; Python and numpy integers pass, floats do not."""
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` if given.
+
+    Python and numpy integers pass, floats do not.
+    """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, not {value}")
+    return value
 
 
 def check_seed(seed, name: str = "seed", *, sequence: bool = True):
@@ -84,10 +94,7 @@ def check_seed(seed, name: str = "seed", *, sequence: bool = True):
     """
     if sequence and isinstance(seed, np.random.SeedSequence):
         return seed
-    value = _integer(seed, name)
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, not {value}")
-    return value
+    return _integer(seed, name, 0)
 
 
 def _nonnegative_integers(arr: np.ndarray, message: str) -> np.ndarray:
@@ -149,8 +156,7 @@ def simulate_replicas(
     Replica r is ``simulate_trajectory(..., replica=r)``: each owns its
     generator, so every replica depends only on ``(seed, r)``.
     """
-    if _integer(replicas, "replicas") < 1:
-        raise ValidationError("replicas must be >= 1")
+    _integer(replicas, "replicas", 1)
     return [
         simulate_trajectory(model, steps, seed, replica=r, initial=initial)
         for r in range(replicas)
@@ -229,10 +235,8 @@ def stream_ensemble(
     called, before the first generation is drawn.  Each yielded array is new,
     and the next generation is drawn from it, so read it but do not modify it.
     """
-    if _integer(steps, "steps") < 0:
-        raise ValidationError("steps must be >= 0")
-    if _integer(replicas, "replicas") < 1:
-        raise ValidationError("replicas must be >= 1")
+    _integer(steps, "steps", 0)
+    _integer(replicas, "replicas", 1)
     state = np.tile(_check_initial(model, initial), (replicas, 1))
     return _generations(model, steps, state, np.random.default_rng(check_seed(seed)))
 
@@ -281,22 +285,22 @@ def martingale_increments(trajectory: Trajectory) -> np.ndarray:
     The reconstruction X_k = A X_{k-1} + b + M_k then holds to round-off.
     """
     states = trajectory.states
-    if states.shape[0] < 2:
-        return np.zeros((0, trajectory.model.p))
     a, b = trajectory.model.A, trajectory.model.b
     return states[1:].astype(float) - states[:-1].astype(float) @ a.T - b
 
 
-def _weighted_cumulatives(innovations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running sums of one innovation column with weights 1, (k-l), binom(k-l, 2).
+def _prefix_sums(values, depth: int) -> list:
+    """[S_0, ..., S_depth]: S_0 = values and S_{j+1}[m] = sum_{h<m} S_j[h].
 
-    Index k of each returned array is the weighted sum over l = 1..k, so
-    entry 0 is 0 and the arrays have length K+1.
+    Each level is one entry longer than the one before, and
+    S_{j+1}[k + 1] = sum_{l <= k} binom(k - l, j) values[l], the (j+1)-fold
+    step integral.  The additions run in index order with the entries' own
+    ``+``: ints and Fractions stay exact, and floats give ``np.cumsum``'s bits.
     """
-    plain = np.concatenate([[0.0], np.cumsum(innovations)])
-    linear = np.concatenate([[0.0], np.cumsum(plain[:-1])])
-    binomial = np.concatenate([[0.0], np.cumsum(linear[:-1])])
-    return plain, linear, binomial
+    sums = [values]
+    for _ in range(depth):
+        sums.append(list(accumulate(sums[-1], initial=0)))
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,14 +313,13 @@ class DecompositionComponents:
     * ``lin1``, ``lin2``: sums of (k - l) g_1(l) and (k - l) g_2(l);
     * ``quad1``: sum of binom(k - l, 2) g_1(l).
 
-    Reconstruction, exact up to round-off:
+    They are entries of W_m[k] = sum_{l <= k} binom(k - l, m) g(l), and
+    A^j = sum_m binom(j, m) C^m with C = A - I (C^3 = 0) gives the
+    reconstruction, exact up to round-off:
 
-        X_{k,1} = sum1[k]
-        X_{k,2} = a21 * lin1[k] + sum2[k]
-        X_{k,3} = a32 * a21 * quad1[k] + a31 * lin1[k] + a32 * lin2[k] + sum3[k]
+        X_k = W_0[k] + C W_1[k] + C^2 W_2[k].
 
-    (The linearly weighted type-1 sum plays both second-coordinate and
-    third-coordinate roles, so it appears once.)
+    In coordinates, X_{k,3} = a32 a21 quad1 + a31 lin1 + a32 lin2 + sum3.
     """
 
     sum1: np.ndarray
@@ -332,8 +335,9 @@ def decomposition_components(
 ) -> DecompositionComponents:
     """Compute the weighted sums and verify they rebuild the trajectory.
 
-    Raises :class:`ConsistencyError` if any reconstruction residual exceeds
-    ``rtol`` relative to the state magnitude.
+    W_m is S_{m+1} of :func:`_prefix_sums` over each innovation column, in
+    float64.  Raises :class:`ConsistencyError` if any reconstruction residual
+    exceeds ``rtol`` relative to the state magnitude.
     """
     model = trajectory.model
     if model.p != 3 or not model.is_lower_unipotent():
@@ -342,26 +346,21 @@ def decomposition_components(
         raise ValidationError("decomposition assumes the trajectory starts at zero")
     states = trajectory.states.astype(float)
     innov = martingale_increments(trajectory) + model.b  # M_l + b, shape (K, 3)
-    sum1, lin1, quad1 = _weighted_cumulatives(innov[:, 0])
-    sum2, lin2, _ = _weighted_cumulatives(innov[:, 1])
-    sum3 = np.concatenate([[0.0], np.cumsum(innov[:, 2])])
-    a21, a31, a32 = model.A[1, 0], model.A[2, 0], model.A[2, 1]
-
-    recon = np.column_stack(
-        [
-            sum1,
-            a21 * lin1 + sum2,
-            a32 * a21 * quad1 + a31 * lin1 + a32 * lin2 + sum3,
-        ]
-    )
+    # w[i, m, k] = W_m[k] of type i, read off S_1..S_3 of innovation column i
+    levels = [_prefix_sums(column, 3)[1:] for column in innov.T.tolist()]
+    w = np.array([[level[: len(states)] for level in column] for column in levels], dtype=float)
+    c = np.tril(model.A, -1)
+    recon = w[:, 2]
+    for m in (1, 0):  # Horner: W_0 + C (W_1 + C W_2)
+        recon = w[:, m] + c @ recon
     scale = np.maximum(1.0, np.abs(states))
-    residual = np.max(np.abs(recon - states) / scale)
+    residual = np.max(np.abs(recon.T - states) / scale)
     if residual > rtol:
         raise ConsistencyError(
             f"decomposition reconstruction residual {residual:.3e} exceeds {rtol:.1e}"
         )
     return DecompositionComponents(
-        sum1=sum1, lin1=lin1, quad1=quad1, sum2=sum2, lin2=lin2, sum3=sum3
+        sum1=w[0, 0], lin1=w[0, 1], quad1=w[0, 2], sum2=w[1, 0], lin2=w[1, 1], sum3=w[2, 0]
     )
 
 
@@ -370,17 +369,16 @@ def weighted_sum_identity_1(f: Callable[[int], int], k: int, n: int):
 
         sum_{l=0}^{k} f(l)  ==  n * integral_0^{(k+1)/n} f(floor(n s)) ds.
 
-    The integral is the panel sum of f(m) / n over the panels [m/n, (m+1)/n),
-    added as integer numerators over the common denominator n and returned
-    as one exact ``Fraction``, so integer-valued f gives exact equality.  A
-    Fraction-valued f is also exact; a float-valued f raises ``TypeError``.
-    Returns (lhs, rhs).
+    The integral is the panel sum of f(m) / n over the panels [m/n, (m+1)/n);
+    the panel width 1/n cancels against the factor n, leaving S_1[k+1] of
+    :func:`_prefix_sums` over f(0..k), returned as one exact ``Fraction``.
+    Integer- and Fraction-valued f give exact equality; a float-valued f
+    raises ``TypeError``.  Returns (lhs, rhs).
     """
-    if k < 1 or n < 1:
-        raise ValidationError("k and n must be >= 1")
-    lhs = sum(f(l) for l in range(k + 1))
-    rhs = Fraction(sum(f(m) for m in range(k + 1)) * n, n)
-    return lhs, rhs
+    k = _integer(k, "k", 1)
+    _integer(n, "n", 1)  # checked only: the panel width 1/n cancels
+    values = [f(l) for l in range(k + 1)]
+    return sum(values), Fraction(_prefix_sums(values, 1)[1][k + 1], 1)
 
 
 def weighted_sum_identity_2(f: Callable[[int], int], k: int, n: int):
@@ -389,16 +387,15 @@ def weighted_sum_identity_2(f: Callable[[int], int], k: int, n: int):
         sum_{l=1}^{k} (k - l) f(l)  ==  n * integral_0^{k/n} F(floor(n s)) ds
 
     with F(m) = sum_{l=1}^{m} f(l).  The integral is the panel sum of
-    F(m) / n, formed over the common denominator n as one ``Fraction``.
-    Returns (lhs, rhs), exact for integer or Fraction f; a float-valued f
-    raises ``TypeError``.
+    F(m) / n; the width 1/n cancels, leaving S_2[k] of :func:`_prefix_sums`
+    over f(1..k) as one ``Fraction``.  Returns (lhs, rhs), exact for integer
+    or Fraction f; a float-valued f raises ``TypeError``.
     """
-    if k < 1 or n < 1:
-        raise ValidationError("k and n must be >= 1")
-    lhs = sum((k - l) * f(l) for l in range(1, k + 1))
-    running = _running_sums(f, k)
-    rhs = Fraction(sum(running[:k]) * n, n)
-    return lhs, rhs
+    k = _integer(k, "k", 1)
+    _integer(n, "n", 1)  # checked only: the panel width 1/n cancels
+    values = [f(l) for l in range(1, k + 1)]
+    lhs = sum((k - l) * value for l, value in enumerate(values, 1))
+    return lhs, Fraction(_prefix_sums(values, 2)[2][k], 1)
 
 
 def weighted_sum_identity_3(f: Callable[[int], int], k: int, n: int):
@@ -407,25 +404,13 @@ def weighted_sum_identity_3(f: Callable[[int], int], k: int, n: int):
         sum_{l=1}^{k} binom(k - l, 2) f(l)
             ==  n^2 * integral_0^{k/n} integral_0^{floor(n r)/n} F(floor(n s)) ds dr.
 
-    The inner integral up to m/n has numerator sum_{m' < m} F(m') over n,
-    and the outer one adds those numerators over n^2; the result is one
-    ``Fraction``.  Returns (lhs, rhs), exact for integer or Fraction f; a
-    float-valued f raises ``TypeError``.
+    Each of the two integrals is a panel sum with width 1/n, and both widths
+    cancel against n^2, leaving S_3[k] of :func:`_prefix_sums` over f(1..k)
+    as one ``Fraction``.  Returns (lhs, rhs), exact for integer or Fraction
+    f; a float-valued f raises ``TypeError``.
     """
-    if k < 1 or n < 1:
-        raise ValidationError("k and n must be >= 1")
-    lhs = sum(comb(k - l, 2) * f(l) for l in range(1, k + 1))
-    running = _running_sums(f, k)
-    inner = outer = 0  # numerators of the inner (over n) and outer (over n^2) integrals
-    for m in range(k):
-        outer += inner
-        inner += running[m]
-    return lhs, Fraction(outer * n**2, n**2)
-
-
-def _running_sums(f: Callable[[int], int], k: int) -> list:
-    """F(m) = sum_{l=1}^m f(l) for m = 0..k."""
-    running = [0]
-    for l in range(1, k + 1):
-        running.append(running[-1] + f(l))
-    return running
+    k = _integer(k, "k", 1)
+    _integer(n, "n", 1)  # checked only: the panel width 1/n cancels
+    values = [f(l) for l in range(1, k + 1)]
+    lhs = sum(comb(k - l, 2) * value for l, value in enumerate(values, 1))
+    return lhs, Fraction(_prefix_sums(values, 3)[3][k], 1)

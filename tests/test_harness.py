@@ -94,6 +94,22 @@ def test_step_integral_functional_zero():
     assert step_integral_functional(np.zeros(5), 2, 1.0) == (0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("n, t", [(2.5, 0.5), (2.0, 0.5), (0, 0.5), (2, -0.5), (2, float("nan")), (2, float("inf"))])
+def test_step_integral_functional_rejects_bad_scale_or_time(n, t):
+    with pytest.raises(ValidationError):
+        step_integral_functional([1, 2, 3], n, t)
+
+
+def test_step_integral_functional_sums_in_index_order():
+    rng = np.random.default_rng(4)
+    for k in range(1, 60, 3):
+        values = rng.normal(size=k + 1) * 1e3
+        _, single, double = step_integral_functional(values, 5, k / 5)
+        running = np.cumsum(np.concatenate([[0.0], values[:k]]))
+        assert single == running[k] / 5
+        assert double == np.cumsum(np.concatenate([[0.0], running[:k]]))[k] / 25
+
+
 def test_step_integral_functional_matches_decomposition():
     model = poisson_case_model(4)
     traj = simulate_trajectory(model, 60, seed=5)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,31 @@ def test_leading_asymptotic_skips_zero_prefix():
     assert coeff == pytest.approx(2.0 * model.A[2, 1])
 
 
+def test_leading_asymptotic_degree_survives_underflow():
+    # a32 * a21 = 1e-400 underflows; the chain 1 -> 2 -> 3 still sets degree 3
+    model = poisson_case_model(4, subdiagonals=(1e-200, 0, 1e-200))
+    assert leading_asymptotic(model, 2) == (3, 0.0)
+    assert leading_asymptotic(model, 1) == (2, 1e-200)
+    assert growth_exponents(model.A, model.b).degrees == (1, 2, 3)
+
+
+def test_leading_asymptotic_overflow_reads_inf_without_warning():
+    model = poisson_case_model(4, subdiagonals=(1e300, 0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert leading_asymptotic(model, 2) == (3, math.inf)
+        assert mean_polynomial(model, 2).coeffs == (1.0, 1e300, math.inf)
+
+
+def test_leading_asymptotic_counts_chains_from_positive_immigration_only():
+    # the overflowing chain starts at type 1, which has no immigration
+    model = poisson_case_model(4, immigration=(0, 1, 1), subdiagonals=(1e300, 0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mean_polynomial(model, 2).coeffs == (1.0, 1e300, 0.0)
+        assert leading_asymptotic(model, 2) == (2, 1e300)
+
+
 def test_leading_asymptotic_pattern2_third_coordinate():
     # X_3 collects a31 b_1 + a32 b_2 = 0.5 * 1 + 0.5 * 2 per binom(k, 2)
     model = poisson_case_model(2, immigration=(1, 2, 2))
@@ -330,6 +356,19 @@ def test_moment_stream_mean_matches_binomial_form_and_matrix_powers(model, k):
     power_sum = sum(np.linalg.matrix_power(model.A, j) for j in range(k)) @ model.b
     assert np.allclose(mean[k], [poly(k) for poly in polys], rtol=_RTOL, atol=0.0)
     assert np.allclose(mean[k], power_sum, rtol=_RTOL, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=unipotent_poisson_models())
+def test_leading_degree_is_the_top_nonzero_coefficient_in_range(model):
+    uni = UnipotentMatrix(model.A)
+    for i in range(model.p):
+        poly = mean_polynomial(model, i)
+        powers = [uni.c_powers[m][i] @ model.b for m in range(model.p)]
+        assert np.allclose(poly.coeffs, powers, rtol=_RTOL, atol=0.0)
+        degree, coeff = leading_asymptotic(model, i)
+        assert degree == poly.degree
+        assert coeff == (poly.coeffs[degree - 1] if degree else 0.0)
 
 
 @settings(max_examples=40, deadline=None)

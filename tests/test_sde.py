@@ -211,6 +211,22 @@ def test_exact_first_coordinate_law():
     assert law_t.scale == pytest.approx(3.0 * law.scale)
 
 
+@pytest.mark.parametrize(
+    "b, v, t",
+    [(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+     (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
+)
+def test_exact_first_coordinate_law_rejects_bad_parameters(b, v, t):
+    with pytest.raises(ValidationError):
+        exact_first_coordinate_law(b, v, t)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_limit_mean_vector_rejects_bad_time(t):
+    with pytest.raises(ValidationError):
+        limit_mean_vector(LimitSystem(case=4, b=(1, 1, 1), v=(1, 1, 1), a21=1, a32=1), t)
+
+
 def test_exact_first_coordinate_law_degenerate():
     with pytest.raises(DegenerateLawError) as info:
         exact_first_coordinate_law(2.0, 0.0, 1.5)

@@ -33,6 +33,7 @@ from gwi import (
 )
 from gwi.cli import IDENTITY_GRID_SCALES
 from gwi.distributions import _SCALAR_DRAWS, _draw
+from gwi.simulate import _prefix_sums
 from util import deterministic_model, poisson_case_model, single_type_poisson
 
 
@@ -675,6 +676,60 @@ def test_decomposition_direct_weighted_sum_oracle():
         assert comp.quad1[k] == pytest.approx(direct_quad, rel=1e-12, abs=1e-9)
 
 
+def _cumsum_weighted_sums(innovations):
+    """Plain, (k - l)- and binom(k - l, 2)-weighted sums of one column by np.cumsum."""
+    plain = np.concatenate([[0.0], np.cumsum(innovations)])
+    linear = np.concatenate([[0.0], np.cumsum(plain[:-1])])
+    binomial = np.concatenate([[0.0], np.cumsum(linear[:-1])])
+    return plain, linear, binomial
+
+
+@pytest.mark.parametrize(
+    "model",
+    [poisson_case_model(case) for case in (1, 2, 3, 4)]
+    + [poisson_case_model(4, immigration=(0, 0, 0))]
+    # rates with no short binary form, so the order of additions shows in the bits
+    + [poisson_case_model(4, immigration=(0.3, 0.7, 1.1), subdiagonals=(0.3, 0.2, 0.7))],
+)
+@pytest.mark.parametrize("steps", [0, 1, 3, 60])
+def test_decomposition_fields_match_the_cumsum_oracle_bytewise(model, steps):
+    traj = simulate_trajectory(model, steps, seed=steps + 11)
+    comp = decomposition_components(traj)
+    innov = martingale_increments(traj) + model.b
+    sum1, lin1, quad1 = _cumsum_weighted_sums(innov[:, 0])
+    sum2, lin2, _ = _cumsum_weighted_sums(innov[:, 1])
+    sum3 = _cumsum_weighted_sums(innov[:, 2])[0]
+    expected = dict(sum1=sum1, lin1=lin1, quad1=quad1, sum2=sum2, lin2=lin2, sum3=sum3)
+    for name, want in expected.items():
+        got = getattr(comp, name)
+        assert (got.dtype, got.shape) == (np.float64, (steps + 1,)), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(-10**12, 10**12), max_size=40),
+        st.lists(st.fractions(max_denominator=10**6), max_size=40),
+        st.lists(st.floats(-1e12, 1e12, allow_nan=False), max_size=40),
+    ),
+    depth=st.integers(0, 4),
+)
+def test_prefix_sums_are_the_binomially_weighted_sums(values, depth):
+    sums = _prefix_sums(values, depth)
+    assert len(sums) == depth + 1 and sums[0] is values
+    for j in range(depth):
+        assert len(sums[j + 1]) == len(values) + j + 1
+        if values and isinstance(values[0], float):
+            # each level is the np.cumsum of the level below behind a leading 0
+            oracle = np.cumsum(np.array([0.0] + sums[j], dtype=float))
+            assert np.array(sums[j + 1], dtype=float).tobytes() == oracle.tobytes()
+            continue
+        for k in range(len(values)):
+            expected = sum(comb(k - l, j) * values[l] for l in range(k + 1))
+            assert sums[j + 1][k + 1] == expected
+
+
 def test_decomposition_requires_three_types():
     with pytest.raises(ValidationError):
         decomposition_components(simulate_trajectory(single_type_poisson(), 5, seed=0))
@@ -767,3 +822,12 @@ def test_weighted_sum_identities_validate_inputs():
         weighted_sum_identity_1(lambda l: 1, 0, 3)
     with pytest.raises(ValidationError):
         weighted_sum_identity_2(lambda l: 1, 2, 0)
+    for identity in IDENTITIES:  # numpy integers pass
+        assert identity(lambda l: l, np.int64(4), np.int32(2)) == identity(lambda l: l, 4, 2)
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+@pytest.mark.parametrize("k, n", [(2.5, 3), (3, 1.5), (3.0, 2), ("3", 2)])
+def test_weighted_sum_identities_need_integer_k_and_n(identity, k, n):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        identity(lambda l: 1, k, n)
