@@ -19,7 +19,8 @@ for :class:`Poisson`, and the Gamma-distributed
 superpose, so the branching step adds these rates over laws and draws one
 Poisson variate per replica and coordinate.  Those Poisson variates and the
 Gammas are drawn through :func:`_draw`: one array call for a large batch, one
-scalar call per variate, from the same stream, for a small one.
+scalar call per variate, from the same stream, for a small one, and scalar
+calls of row r's own generator when each row has one.
 
 Parametric kinds have independent coordinates; correlated coordinates require
 :class:`JointTable`.
@@ -62,6 +63,16 @@ def _as_1d_float(values, name: str) -> np.ndarray:
     return arr
 
 
+def _sampler(rng, name: str):
+    """Sampler ``name`` of ``rng``, or the list of them for one generator per row.
+
+    ``rng`` is one ``np.random.Generator`` or a sequence of them.
+    """
+    if isinstance(rng, np.random.Generator):
+        return getattr(rng, name)
+    return [getattr(generator, name) for generator in rng]
+
+
 def _draw(sampler, params: np.ndarray, dtype) -> np.ndarray:
     """``sampler(params)``: one variate per entry of ``params``, in C order.
 
@@ -70,12 +81,19 @@ def _draw(sampler, params: np.ndarray, dtype) -> np.ndarray:
     so they return the same values and leave the generator in the same state.
     An array call pays several microseconds of argument checks, a scalar call
     about one, so a batch of at most ``_SCALAR_DRAWS`` variates makes one
-    scalar call per variate.  Both raise numpy's ``ValueError`` for a
-    parameter the sampler rejects; the scalar calls before it have drawn.
+    scalar call per variate.  ``sampler`` may also be a list of samplers
+    from :func:`_sampler`, one per row of a 2-d ``params``: row r is then
+    drawn by scalar calls of ``sampler[r]``, the values a one-row batch
+    drawn from its generator would get.  Both raise numpy's ``ValueError``
+    for a parameter the sampler rejects; the scalar calls before it have
+    drawn.
     """
-    if params.size > _SCALAR_DRAWS:
+    if isinstance(sampler, list):
+        values = [draw(x) for draw, row in zip(sampler, params.tolist()) for x in row]
+    elif params.size > _SCALAR_DRAWS:
         return sampler(params)
-    values = list(map(sampler, params.ravel().tolist()))
+    else:
+        values = list(map(sampler, params.ravel().tolist()))
     return np.array(values, dtype=dtype).reshape(params.shape)
 
 
@@ -255,12 +273,13 @@ class Geometric(DistributionSpec):
 
         The Gammas are drawn in C order over rows and coordinates, by one
         ``standard_gamma`` array call for a large batch and one scalar call
-        per Gamma for a small one (the same stream).  A coordinate with
-        p = 1, or a row with count 0, has shape 0: numpy returns 0 for it
-        and takes nothing from the stream, so its rate is 0.
+        per Gamma for a small one (the same stream).  ``rng`` may also be a
+        sequence of one generator per row, which draws row r's Gammas.  A
+        coordinate with p = 1, or a row with count 0, has shape 0: numpy
+        returns 0 for it and takes nothing from the stream, so its rate is 0.
         """
         shapes = counts[:, None] * (self.p < 1.0)
-        return _draw(rng.standard_gamma, shapes, float) * self.mean()
+        return _draw(_sampler(rng, "standard_gamma"), shapes, float) * self.mean()
 
     def _sum_closed_form(self, counts, rng):
         return rng.poisson(self.poisson_rate(counts, rng)).astype(np.int64, copy=False)

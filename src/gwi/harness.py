@@ -61,9 +61,13 @@ class ScaledStepProcess:
     states: np.ndarray
 
     def __call__(self, t: float) -> np.ndarray:
+        if not 0 <= t < math.inf:
+            raise ValidationError(f"t must be finite and >= 0, not {t!r}")
+        # floor(n t) >= size exactly when n t >= size, also where n t overflows to inf
+        size = self.states.shape[0]
+        if self.n * t >= size:
+            raise ValidationError(f"t = {t} reads a generation past the trajectory's last, {size - 1}")
         k = math.floor(self.n * t)
-        if t < 0 or k >= self.states.shape[0]:
-            raise ValidationError(f"t = {t} needs generation {k}, trajectory is shorter")
         return _scale(self.states[k].astype(float), self.n, self.exponents)
 
 
@@ -86,9 +90,9 @@ def step_integral_functional(step_values, n: int, t: float):
     n = _integer(n, "n", 1)
     if not 0 <= t < math.inf:
         raise ValidationError(f"t must be finite and >= 0, not {t!r}")
+    if n * t >= values.size:  # as floor(n t) >= size, also where n t overflows to inf
+        raise ValidationError(f"t = {t} reads a value index past the last, {values.size - 1}")
     k = math.floor(n * t)
-    if k >= values.size:
-        raise ValidationError(f"t = {t} needs value index {k}, got {values.size - 1}")
     _, single, double = _prefix_sums(values[:k].tolist(), 2)
     return values[k], single[k] / n, double[k] / n**2
 

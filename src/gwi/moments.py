@@ -126,7 +126,9 @@ class MeanPolynomial:
         return 0
 
     def __call__(self, k: int) -> float:
-        return float(sum(c * comb(int(k), m + 1) for m, c in enumerate(self.coeffs)))
+        # skip the terms with binom(k, m) = 0: an inf coefficient times 0 is nan
+        k = int(k)
+        return float(sum(c * comb(k, m) for m, c in enumerate(self.coeffs, 1) if m <= k))
 
 
 def mean_polynomial(model: GwiModel, i: int) -> MeanPolynomial:

@@ -5,15 +5,17 @@ every individual of each type plus one immigration vector:
 
     X_k = sum_i sum_{j <= X_{k-1, i}} xi_{k, j, i} + eps_k.
 
-One kernel runs it: :func:`stream_ensemble` advances a batch of replicas in
-lock-step from one generator and yields X_0, ..., X_steps.  Everything else
-reads that stream under one of two seeding schemes.  Per-replica keys:
-:func:`simulate_trajectory` streams one replica from the seed sequence
-``(seed, spawn_key=(replica,))``, so each replica depends only on its seeds
-and not on which other replicas run.  One ensemble stream:
-:func:`simulate_ensemble` records chosen generations of many replicas drawn
-from a single generator with vectorized draws, the fast path for large Monte
-Carlo estimates.  Both are deterministic given their seeds.
+One kernel runs it: :func:`step_ensemble` advances a batch of replicas one
+generation in lock-step, and one loop calls it once per generation.  The
+kernel has two seeding schemes.  One generator for the batch:
+:func:`stream_ensemble` yields X_0, ..., X_steps of a batch drawn from a
+single generator with vectorized draws, and :func:`simulate_ensemble`
+records chosen generations of it, the fast path for large Monte Carlo
+estimates.  One generator per row: :func:`simulate_replicas` steps replicas
+0..R-1 together, but row r draws only from the generator seeded by
+``SeedSequence(entropy=seed, spawn_key=(r,))``, so each replica depends only
+on its seeds and not on which other replicas run; :func:`simulate_trajectory`
+is its one-replica case.  Both are deterministic given their seeds.
 
 The path decomposition, the sum identities and the step integrals of
 ``gwi.harness`` all read one m-fold exclusive prefix sum, :func:`_prefix_sums`.
@@ -30,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import _draw
+from .distributions import _draw, _sampler
 from .errors import ConsistencyError, OverflowGuardError, ValidationError
 from .model import GwiModel
 
@@ -129,17 +131,16 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Simulate X_0..X_steps; deterministic given (model, steps, seed, replica).
 
-    The trajectory is the one-replica :func:`stream_ensemble` seeded by
-    ``SeedSequence(entropy=seed, spawn_key=(replica,))``.  Raises
-    :class:`OverflowGuardError` once a coordinate exceeds 2**53, the largest
-    population whose offspring sums are still drawn exactly, or once numpy's
-    samplers cannot draw the next generation.
+    The trajectory is one row drawn from the generator seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(replica,))``, the one-replica
+    case of :func:`simulate_replicas`.  Raises :class:`OverflowGuardError`
+    once a coordinate exceeds 2**53, the largest population whose offspring
+    sums are still drawn exactly, or once numpy's samplers cannot draw the
+    next generation.
     """
     seed = check_seed(seed, sequence=False)
     replica = check_seed(replica, "replica", sequence=False)
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(replica,))
-    states = np.concatenate(list(stream_ensemble(model, steps, 1, key, initial=initial)))
-    states.setflags(write=False)
+    states = _keyed_paths(model, steps, seed, [replica], initial)[0]
     return Trajectory(states=states, seed=seed, replica=replica, model=model)
 
 
@@ -153,18 +154,46 @@ def simulate_replicas(
 ) -> list[Trajectory]:
     """Independent trajectories for replica indices 0..replicas-1, in order.
 
-    Replica r is ``simulate_trajectory(..., replica=r)``: each owns its
-    generator, so every replica depends only on ``(seed, r)``.
+    The replicas advance in lock-step, one :func:`step_ensemble` call per
+    generation, but row r draws only from its own generator, seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(r,))``: replica r equals
+    ``simulate_trajectory(..., replica=r)`` and depends only on ``(seed, r)``.
     """
-    _integer(replicas, "replicas", 1)
+    replicas = _integer(replicas, "replicas", 1)
+    seed = check_seed(seed, sequence=False)
+    paths = _keyed_paths(model, steps, seed, range(replicas), initial)
     return [
-        simulate_trajectory(model, steps, seed, replica=r, initial=initial)
-        for r in range(replicas)
+        Trajectory(states=path, seed=seed, replica=r, model=model) for r, path in enumerate(paths)
     ]
 
 
-def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _keyed_paths(model: GwiModel, steps: int, seed: int, replicas, initial) -> np.ndarray:
+    """Read-only states, shape (len(replicas), steps + 1, p), of lock-step rows.
+
+    Row r draws only from the generator keyed ``(seed, replicas[r])``.
+    """
+    steps = _integer(steps, "steps", 0)
+    keys = (np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in replicas)
+    rngs = [np.random.default_rng(key) for key in keys]
+    state = np.tile(_check_initial(model, initial), (len(rngs), 1))
+    paths = np.empty((len(rngs), steps + 1, model.p), dtype=np.int64)
+    for k, state in enumerate(_generations(model, steps, state, rngs)):
+        paths[:, k] = state
+    paths.setflags(write=False)
+    return paths
+
+
+def step_ensemble(
+    model: GwiModel,
+    states: np.ndarray,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> np.ndarray:
     """One generation for a batch of replicas, shape (replicas, p) -> same.
+
+    ``rng`` is one ``np.random.Generator`` for the whole batch, or a sequence
+    of one Generator per row.  In the second scheme row r draws only from
+    ``rng[r]``, exactly the draws a one-row batch makes from it, so each row
+    depends only on its own generator.
 
     Given X_{k-1} = x, every law's sum is independent of the others.  Poisson
     and Geometric sums are Poisson given a rate: x_i times the rates of a
@@ -173,19 +202,23 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
     total one Poisson at the summed rate: one Poisson variate per replica and
     coordinate, drawn in C order over the (replicas, p) rates.  Its Poisson
     part is ``x @ R.T + c`` from ``model.poisson_mixture``, which is A x + b
-    for an all-Poisson model.  The draw order is fixed: the Gammas of the
-    Geometric types in type order (C order over replicas and the coordinates
-    with p < 1), the Geometric immigration's, the Poisson variates, then
-    ``sample_sum`` of every other offspring law in type order and ``sample``
-    of any other immigration law.  A large batch draws the Poisson variates
-    and each law's Gammas with one array call; a small one draws them one
-    scalar call at a time from the same stream, so the values do not depend
-    on the batch size.
+    for an all-Poisson model; with one generator per row it is the stacked
+    product ``(x[:, None, :] @ R.T)[:, 0, :]``, whose rows carry the bits of
+    one-row products (a batched ``@`` may differ in the last bit).  The draw
+    order is fixed: the Gammas of the Geometric types in type order (C order
+    over replicas and the coordinates with p < 1), the Geometric
+    immigration's, the Poisson variates, then ``sample_sum`` of every other
+    offspring law in type order and ``sample`` of any other immigration law;
+    with one generator per row, each phase runs over the rows in order.  A
+    large one-generator batch draws the Poisson variates and each law's
+    Gammas with one array call; a small one, or a row with its own
+    generator, draws them one scalar call at a time from the same stream, so
+    the values do not depend on the batch size.
 
     ``states`` must hold nonnegative integers; a float state such as 1.7 or
     nan raises :class:`ValidationError`.  A state past 2**53, or one whose
     rates or counts numpy's samplers reject, raises
-    :class:`OverflowGuardError`.
+    :class:`OverflowGuardError`.  The guards run once per call, over every row.
     """
     states = np.asarray(states)
     if states.dtype.kind not in "iu":  # integer states are checked by the guards below
@@ -193,21 +226,29 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
     states = states.astype(np.int64, copy=False)
     if states.ndim != 2 or states.shape[1] != model.p:
         raise ValidationError(f"states must have shape (replicas, {model.p})")
+    replicas = states.shape[0]
+    per_row = not isinstance(rng, np.random.Generator)
+    if per_row and len(rng) != replicas:
+        raise ValidationError(f"rng must be one Generator or {replicas}, one per row")
     if states.size and states.max() > _SAFE_LIMIT:
         raise OverflowGuardError(f"population coordinate exceeded {_SAFE_LIMIT}")
     rates, immigration_rate, mixed, other = model.poisson_mixture
-    replicas = states.shape[0]
     try:
         if rates is None:
             nxt = np.zeros_like(states)
         else:
-            rate = states @ rates.T + immigration_rate
+            rate = (states[:, None, :] @ rates.T)[:, 0, :] if per_row else states @ rates.T
+            rate += immigration_rate
             for law, i in mixed:
                 counts = np.ones(replicas, dtype=np.int64) if i is None else states[:, i]
                 rate += law.poisson_rate(counts, rng)
-            nxt = _draw(rng.poisson, rate, np.int64)
+            nxt = _draw(_sampler(rng, "poisson"), rate, np.int64)
         for law, i in other:
-            nxt += law.sample(replicas, rng) if i is None else law.sample_sum(states[:, i], rng)
+            if per_row:
+                rows = [_law_draws(law, i, states[r : r + 1], g) for r, g in enumerate(rng)]
+                nxt += np.array(rows, dtype=np.int64).reshape(states.shape)
+            else:
+                nxt += _law_draws(law, i, states, rng)
     except ValidationError:
         raise
     except ValueError as exc:
@@ -218,6 +259,11 @@ def step_ensemble(model: GwiModel, states: np.ndarray, rng: np.random.Generator)
     if nxt.size and (nxt.min() < 0 or nxt.max() >= _OVERFLOW_LIMIT):
         raise OverflowGuardError(f"population coordinate exceeded {_OVERFLOW_LIMIT}")
     return nxt
+
+
+def _law_draws(law, i: int | None, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The immigration vectors (i None) or the type-i offspring sums of one law."""
+    return law.sample(states.shape[0], rng) if i is None else law.sample_sum(states[:, i], rng)
 
 
 def stream_ensemble(
@@ -241,9 +287,8 @@ def stream_ensemble(
     return _generations(model, steps, state, np.random.default_rng(check_seed(seed)))
 
 
-def _generations(
-    model: GwiModel, steps: int, state: np.ndarray, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
+def _generations(model: GwiModel, steps: int, state: np.ndarray, rng) -> Iterator[np.ndarray]:
+    """``state``, then one :func:`step_ensemble` call per generation under ``rng``'s scheme."""
     yield state
     for _ in range(steps):
         state = step_ensemble(model, state, rng)

@@ -81,6 +81,15 @@ def test_scaled_step_process_is_piecewise_constant():
         proc(2.5)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.5, 2.25, 1e308])
+def test_scaled_step_process_rejects_times_off_the_trajectory(t):
+    # nan, inf and a finite t whose n t overflows are refused before floor(n t)
+    proc = ScaledStepProcess(n=4, exponents=(1, 1, 1), states=np.zeros((9, 3), dtype=np.int64))
+    with pytest.raises(ValidationError):
+        proc(t)
+    assert np.array_equal(proc(1.99), proc(2.0)) and proc(2.0).shape == (3,)
+
+
 def test_step_integral_functional_constant():
     values = np.full(11, 3)
     f_t, single, double = step_integral_functional(values, 4, 2.0)
@@ -94,7 +103,10 @@ def test_step_integral_functional_zero():
     assert step_integral_functional(np.zeros(5), 2, 1.0) == (0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("n, t", [(2.5, 0.5), (2.0, 0.5), (0, 0.5), (2, -0.5), (2, float("nan")), (2, float("inf"))])
+@pytest.mark.parametrize(
+    "n, t",
+    [(2.5, 0.5), (2.0, 0.5), (0, 0.5), (2, -0.5), (2, float("nan")), (2, float("inf")), (2, 1e308)],
+)
 def test_step_integral_functional_rejects_bad_scale_or_time(n, t):
     with pytest.raises(ValidationError):
         step_integral_functional([1, 2, 3], n, t)

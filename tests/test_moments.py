@@ -269,6 +269,18 @@ def test_leading_asymptotic_overflow_reads_inf_without_warning():
         assert mean_polynomial(model, 2).coeffs == (1.0, 1e300, math.inf)
 
 
+def test_mean_polynomial_with_an_inf_coefficient_agrees_with_the_mean_vector():
+    # coeffs (1, 1e300, inf): the inf term has binom(k, 3) = 0 for k < 3 and
+    # must be left out there, not read as inf * 0 = nan
+    model = poisson_case_model(4, subdiagonals=(1e300, 0, 1e300))
+    poly = mean_polynomial(model, 2)
+    for k in (1, 2, 3):
+        with np.errstate(over="ignore", invalid="ignore"):  # the recursion's variance overflows
+            expected = mean_vector(model, k)[2]
+        assert poly(k) == expected, k
+    assert poly(0) == 0.0 and poly(3) == math.inf
+
+
 def test_leading_asymptotic_counts_chains_from_positive_immigration_only():
     # the overflowing chain starts at type 1, which has no immigration
     model = poisson_case_model(4, immigration=(0, 1, 1), subdiagonals=(1e300, 0, 1e300))

@@ -502,6 +502,177 @@ def test_long_trajectories_draw_the_array_call_stream():
             assert traj.states.tobytes() == np.concatenate(expected).tobytes()
 
 
+def _separate_streams(model, steps, seed, replicas, initial=None):
+    """Replica r alone: a one-row batch stepped from its own keyed generator.
+
+    The loop ``simulate_replicas`` ran before it stepped every replica in
+    lock-step; each row draws from one Generator, with ``states @ R.T``.
+    """
+    start = np.zeros(model.p, dtype=np.int64) if initial is None else np.asarray(initial)
+    paths = []
+    for r in range(replicas):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        state = start[None, :]
+        rows = [state]
+        for _ in range(steps):
+            state = step_ensemble(model, state, rng)
+            rows.append(state)
+        paths.append(np.concatenate(rows))
+    return paths
+
+
+def _nondyadic_poisson(p: int, rng: np.random.Generator):
+    """All-Poisson lower-unipotent model with non-dyadic sub-diagonal and immigration rates."""
+    a = np.eye(p) + np.tril(rng.uniform(0.05, 1.3, (p, p)) * (rng.random((p, p)) < 0.8), -1)
+    return build_model([Poisson(col) for col in a.T], Poisson(rng.uniform(0.1, 3.0, p)))
+
+
+def _lock_step_oracle_models():
+    rng = np.random.default_rng(2202)
+    return [
+        *(_nondyadic_poisson(p, rng) for p in range(1, 7)),
+        # Geometric laws with p = 1 coordinates, offspring and immigration
+        build_model(
+            [Geometric([0.5, 2 / 3, 1.0]), Geometric([1.0, 0.5, 0.7]), Geometric([1.0, 1.0, 0.5])],
+            Geometric([0.35, 0.4, 1.0]),
+        ),
+        # Poisson and Geometric rates beside a Bernoulli law
+        build_model(
+            [Poisson([1.0, 0.3, 0.0]), Geometric([1.0, 0.55, 0.6]), Bernoulli([0.0, 0.0, 1.0])],
+            Geometric([0.5, 0.45, 0.6]),
+        ),
+        # no Poisson or Geometric law: every law draws its own sums
+        build_model(
+            [
+                JointTable([[1, 0, 0], [1, 1, 0], [1, 0, 2]], [0.5, 0.3, 0.2]),
+                Bernoulli([0.0, 1.0, 0.3]),
+                Deterministic([0, 0, 1]),
+            ],
+            JointTable([[1, 0, 0], [0, 2, 1]], [0.3, 0.7]),
+        ),
+        # a JointTable law beside Poisson and Geometric rates
+        build_model(
+            [Poisson([1.0, 0.3, 0.1]), JointTable([[0, 1, 0], [0, 1, 1]], [0.6, 0.4]), Geometric([1.0, 1.0, 0.5])],
+            Poisson([0.7, 1.1, 0.3]),
+        ),
+    ]
+
+
+@pytest.fixture(scope="module")
+def separate_stream_oracle():
+    """(model, initial, seed, 40 separate-stream paths) per oracle model.
+
+    Replica r depends only on (seed, r), so the first R paths are the
+    reference for a batch of R replicas.
+    """
+    cases = []
+    for index, model in enumerate(_lock_step_oracle_models()):
+        initial = np.arange(model.p) % 3 if index % 2 else None
+        seed = 31 + index
+        cases.append((model, initial, seed, _separate_streams(model, 300, seed, 40, initial)))
+    return cases
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 8, 13, 40])
+def test_lock_step_replicas_equal_separate_streams_bytewise(replicas, separate_stream_oracle):
+    # one step_ensemble call per generation with one generator per row must
+    # give each replica the bytes of its own one-row stream: the non-dyadic
+    # rates catch a batched x @ R.T, whose rows may differ in the last bit
+    for index, (model, initial, seed, reference) in enumerate(separate_stream_oracle):
+        lock_step = simulate_replicas(model, 300, seed, replicas, initial=initial)
+        assert [traj.replica for traj in lock_step] == list(range(replicas))
+        for traj, expected in zip(lock_step, reference[:replicas]):
+            assert traj.states.tobytes() == expected.tobytes(), (index, traj.replica)
+            assert traj.states.shape == expected.shape and not traj.states.flags.writeable
+        single = simulate_trajectory(model, 300, seed, replica=replicas - 1, initial=initial)
+        assert single.states.tobytes() == reference[replicas - 1].tobytes()
+
+
+class _RateSpy(np.random.Generator):
+    """A keyed generator that records every Poisson rate it draws at."""
+
+    def __init__(self, key):
+        super().__init__(np.random.PCG64(key))
+        self.rates = []
+
+    def poisson(self, lam=1.0, size=None):
+        self.rates.extend(np.ravel(lam).tolist())
+        return super().poisson(lam, size)
+
+
+def test_lock_step_rows_draw_at_the_bits_of_one_row_rates():
+    # A rate one ulp off almost never changes a Poisson variate, so the
+    # byte-identity oracle above cannot see a batched x @ R.T, whose rows
+    # may differ from one-row products in the last bit; the rates can.
+    model_rng = np.random.default_rng(2203)
+    for p in range(2, 7):
+        models = [_nondyadic_poisson(p, model_rng), *_oracle_models(p, model_rng)]
+        for model in models:
+            replicas = int(model_rng.integers(2, 41))
+            states = model_rng.integers(0, 10**6, size=(replicas, p))
+            keys = [np.random.SeedSequence(entropy=5, spawn_key=(r,)) for r in range(replicas)]
+            spies = [_RateSpy(key) for key in keys]
+            lock_step = step_ensemble(model, states, spies)
+            for r, key in enumerate(keys):
+                alone = _RateSpy(key)
+                row = step_ensemble(model, states[r : r + 1], alone)
+                assert spies[r].rates == alone.rates, (p, r)
+                assert lock_step[r].tobytes() == row[0].tobytes()
+
+
+def _outcome(call):
+    try:
+        return call().tobytes()
+    except (OverflowGuardError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_lock_step_guards_raise_what_the_one_row_stream_raises():
+    # a batch where one row trips a guard raises the error and message that
+    # row raises alone, for the state, rate, output and negative-state guards
+    poisson = build_model([Poisson([2000.0])], Poisson([1.0]))
+    geometric = build_model([Geometric([1e-7])], Poisson([1.0]))
+    bernoulli = build_model([Bernoulli([0.5])], Deterministic([1]))
+    huge = build_model([Deterministic([1])], Deterministic([2**63 - 1 - 2**53]))
+    cases = [
+        (poisson, 2**53 + 1),
+        (poisson, 2**53),
+        (geometric, 2**40),
+        (huge, 2**53),
+        (poisson, -3),
+        (geometric, -3),
+        (bernoulli, -3),
+    ]
+    for model, bad in cases:
+        for replicas, row in ((1, 0), (5, 0), (5, 3), (_SCALAR_DRAWS + 2, _SCALAR_DRAWS + 1)):
+            states = np.arange(replicas)[:, None] % 4
+            states[row] = bad
+            keys = [np.random.SeedSequence(entropy=7, spawn_key=(r,)) for r in range(replicas)]
+            batch = _outcome(lambda: step_ensemble(model, states, [np.random.default_rng(k) for k in keys]))
+            alone = _outcome(lambda: step_ensemble(model, states[row : row + 1], np.random.default_rng(keys[row])))
+            assert isinstance(alone, tuple) and batch == alone, (model.to_dict(), bad, replicas, row)
+    doubling = build_model([Deterministic([2])], Deterministic([1]))
+    with pytest.raises(OverflowGuardError) as lock_step:
+        simulate_replicas(doubling, 80, 0, 3)
+    with pytest.raises(OverflowGuardError) as alone:
+        _separate_streams(doubling, 80, 0, 1)
+    assert str(lock_step.value) == str(alone.value)
+
+
+def test_step_ensemble_takes_one_generator_or_one_per_row():
+    model = poisson_case_model(4)
+    states = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+    for rngs in ([np.random.default_rng(0)] * 2, []):
+        with pytest.raises(ValidationError, match="one per row"):
+            step_ensemble(model, states, rngs)
+    keys = [np.random.SeedSequence(entropy=4, spawn_key=(r,)) for r in range(3)]
+    per_row = step_ensemble(model, states, tuple(np.random.default_rng(k) for k in keys))
+    rows = [step_ensemble(model, states[r : r + 1], np.random.default_rng(k)) for r, k in enumerate(keys)]
+    assert per_row.tobytes() == np.concatenate(rows).tobytes()
+    empty = step_ensemble(model, np.zeros((0, 3), dtype=np.int64), [])
+    assert empty.shape == (0, 3) and empty.dtype == np.int64
+
+
 def test_step_ensemble_rejects_non_integer_float_states():
     model = build_model([Deterministic([1])], Deterministic([0]))
     for bad in ([[1.7]], [[np.nan]], [[np.inf]], [[-2.0]], [["3"]]):
