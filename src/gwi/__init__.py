@@ -35,7 +35,6 @@ from .model import (
 from .moments import (
     GrowthExponents,
     MeanPolynomial,
-    UnipotentMatrix,
     conditional_covariance,
     growth_exponents,
     leading_asymptotic,

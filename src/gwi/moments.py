@@ -7,31 +7,35 @@ J. Appl. Probab.) for the process started at X_0 = 0:
     var X_k = A var X_{k-1} A^T + V^(0) + sum_i E X_{k-1, i} V^(i),
 
 which holds for every mean matrix A.  :func:`moment_stream` runs it once up to
-a horizon K; :func:`mean_vector` and :func:`variance_matrix` read one row.
+a horizon K, the mean loop first; :func:`mean_vector` runs the mean loop
+alone, and :func:`variance_matrix` reads one row.
 
 For a lower triangular A with unit diagonal the nilpotent part C = A - I
 satisfies C^p = 0, so every power of A is the finite binomial sum
-``A^k = sum_m binom(k, m) C^m``.  This closed form gives the mean polynomial
-in the binomial basis, coefficients (C^m b)_i, and the leading asymptotic
-term.  Binomial coefficients are exact Python integers; integer-valued
+``A^k = sum_m binom(k, m) C^m``.  One helper, the nilpotent orbit
+x, C x, ..., C^(p-1) x of a vector or a matrix x, gives every form in this
+binomial basis: the powers of A (x = I), the mean polynomial's coefficients
+(C^m b)_i (x = b), and the growth degrees (the orbit of the 0/1 pattern of
+positive entries counts chains, the sign rule of ``detect_case``);
+``gwi.sde`` reads the limit mean off the orbit of its drift.  Each product
+adds only the terms with a nonzero entry of C, so with nonnegative entries
+a term that underflows reads 0.0 and one that overflows reads inf, never
+nan.  Binomial coefficients are exact Python integers; integer-valued
 matrices are computed in exact integer arithmetic, float matrices in float64.
-The growth degrees and the leading degree take no power of C: they are
-chains of strictly positive entries, the sign rule of ``detect_case``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from numbers import Real
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import GwiModel, _lower_unipotent
+from .simulate import _integer
 
 __all__ = [
-    "UnipotentMatrix",
     "unipotent_power",
     "moment_stream",
     "mean_vector",
@@ -47,68 +51,63 @@ __all__ = [
 ]
 
 
-class UnipotentMatrix:
-    """A lower triangular matrix with unit diagonal, with cached nilpotent powers.
+def _nilpotent_orbit(n, x) -> list[np.ndarray]:
+    """[x, N x, ..., N^(p-1) x] for a strictly lower triangular p x p ``n``.
 
-    ``c_powers[m]`` is (A - I)^m for m = 0..p-1; (A - I)^p = 0.  Integer input
-    stays exact (object dtype holding Python ints); float input uses float64.
+    ``x`` is a p-vector or a p x q matrix.  Each product adds only the terms
+    N_ij x_j with N_ij != 0, under ``np.errstate(all="ignore")``: with
+    nonnegative entries a term that underflows reads 0.0 and one that
+    overflows reads inf, never nan, and nothing warns.  Object arrays of
+    Python ints stay exact.
     """
-
-    def __init__(self, a):
-        arr = np.asarray(a)
-        if not _lower_unipotent(arr):
-            raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
-
-        exact = arr.dtype == object or np.issubdtype(arr.dtype, np.integer)
-        if exact:
-            work = np.array([[int(x) for x in row] for row in arr], dtype=object)
-            eye = np.eye(arr.shape[0], dtype=np.int64).astype(object)  # Python ints
-        else:
-            work = np.tril(arr.astype(float))  # zero out round-off above the diagonal
-            np.fill_diagonal(work, 1.0)
-            eye = np.eye(arr.shape[0])
-        self.a = work
-        self.p = arr.shape[0]
-        nilpotent = work - eye
-        powers = [eye]
-        for _ in range(1, self.p):
-            powers.append(powers[-1] @ nilpotent)
-        self.c_powers = powers
-
-    def power(self, k: int) -> np.ndarray:
-        """A^k = sum_{m=0}^{p-1} binom(k, m) (A - I)^m, for integer k >= 0."""
-        if k < 0 or k != int(k):
-            raise ValidationError("exponent must be a nonnegative integer")
-        k = int(k)
-        total = self.c_powers[0].copy()
-        for m in range(1, self.p):
-            total = total + comb(k, m) * self.c_powers[m]
-        return total
+    n = np.asarray(n)
+    n = n.reshape(n.shape + (1,) * (np.ndim(x) - 1))  # N_ij against row j of a matrix x
+    orbit = [x]
+    with np.errstate(all="ignore"):
+        for _ in range(1, n.shape[0]):
+            orbit.append(np.where(n != 0, n * orbit[-1], 0).sum(axis=1))
+    return orbit
 
 
 def unipotent_power(a, k: int) -> np.ndarray:
-    """k-th power of a lower-unipotent matrix via the binomial expansion."""
-    if k < 1:
-        raise ValidationError("k must be a positive integer")
-    return UnipotentMatrix(a).power(k)
+    """A^k = sum_{m=0}^{p-1} binom(k, m) (A - I)^m of a lower-unipotent A, k >= 1.
+
+    Integer input stays exact (object dtype holding Python ints); float input
+    uses float64, where an entry that overflows reads inf.
+    """
+    k = _integer(k, "k", 1)
+    arr = np.asarray(a)
+    if not _lower_unipotent(arr):
+        raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
+    exact = arr.dtype == object or np.issubdtype(arr.dtype, np.integer)
+    arr = np.frompyfunc(int, 1, 1)(arr) if exact else arr.astype(float)  # Python ints or float64
+    powers = _nilpotent_orbit(np.tril(arr, -1), np.eye(len(arr), dtype=arr.dtype))
+    # binom(k, m) = 0 for m > k: those terms are left out, as an inf times 0 is nan
+    with np.errstate(over="ignore"):
+        return sum(comb(k, m) * power for m, power in enumerate(powers[: k + 1]))
+
+
+def _mean_rows(model: GwiModel, K: int) -> np.ndarray:
+    """E X_k for k = 0..K, shape (K+1, p), X_0 = 0."""
+    K = _integer(K, "K", 0)
+    mean = np.zeros((K + 1, model.p))
+    for k in range(1, K + 1):
+        mean[k] = model.A @ mean[k - 1] + model.b
+    return mean
 
 
 def moment_stream(model: GwiModel, K: int) -> tuple[np.ndarray, np.ndarray]:
     """(E X_k, var X_k) for k = 0..K, shapes (K+1, p) and (K+1, p, p), X_0 = 0."""
-    if not isinstance(K, Real) or K < 0 or K % 1 != 0:
-        raise ValidationError(f"K must be a nonnegative integer, not {K!r}")
-    K = int(K)
-    mean = np.zeros((K + 1, model.p))
-    var = np.zeros((K + 1, model.p, model.p))
-    for k in range(1, K + 1):
-        mean[k] = model.A @ mean[k - 1] + model.b
+    mean = _mean_rows(model, K)
+    var = np.zeros(mean.shape + (model.p,))
+    for k in range(1, len(mean)):
         var[k] = model.A @ var[k - 1] @ model.A.T + conditional_covariance(model, mean[k - 1])
     return mean, var
 
 
 def mean_vector(model: GwiModel, k: int) -> np.ndarray:
     """E X_k = sum_{j=0}^{k-1} A^j b for the process started at zero."""
-    return moment_stream(model, k)[0][k]
+    return _mean_rows(model, k)[k]
 
 
 @dataclass(frozen=True)
@@ -127,27 +126,23 @@ class MeanPolynomial:
 
     def __call__(self, k: int) -> float:
         # skip the terms with binom(k, m) = 0: an inf coefficient times 0 is nan
-        k = int(k)
+        k = _integer(k, "k", 0)
         return float(sum(c * comb(k, m) for m, c in enumerate(self.coeffs, 1) if m <= k))
 
 
 def mean_polynomial(model: GwiModel, i: int) -> MeanPolynomial:
     """Binomial-basis coefficients of E X_{k, i} (0-based coordinate ``i``).
 
-    coeffs[m] = (C^m b)_i with C = A - I, formed as C (C^(m-1) b).  Each is a
-    sum of products of nonnegative entries, taken with 0 * inf = 0: it reads
-    0.0 where the product underflows and inf where it overflows, never nan,
+    coeffs[m] = (C^m b)_i with C = A - I, the nilpotent orbit of b: it reads
+    0.0 where a product underflows and inf where it overflows, never nan,
     and no warning is raised.
     """
     if not _lower_unipotent(model.A):
         raise ValidationError("matrix must be square, lower triangular, with unit diagonal")
-    if not (0 <= i < model.p):
+    i = _integer(i, "coordinate")
+    if not 0 <= i < model.p:
         raise ValidationError(f"coordinate must be in 0..{model.p - 1}")
-    c = np.tril(model.A, -1)
-    terms = [model.b]
-    with np.errstate(all="ignore"):
-        for _ in range(1, model.p):
-            terms.append(np.where(c > 0, c * terms[-1], 0.0).sum(axis=1))
+    terms = _nilpotent_orbit(np.tril(model.A, -1), model.b)
     return MeanPolynomial(coordinate=i, coeffs=tuple(float(term[i]) for term in terms))
 
 
@@ -164,15 +159,12 @@ def conditional_covariance(model: GwiModel, state) -> np.ndarray:
 
 def martingale_second_moment(model: GwiModel, k: int) -> np.ndarray:
     """E(M_k M_k^T) = V^(0) + sum_i E(X_{k-1, i}) V^(i), k >= 1."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    return conditional_covariance(model, mean_vector(model, k - 1))
+    return conditional_covariance(model, mean_vector(model, _integer(k, "k", 1) - 1))
 
 
 def variance_matrix(model: GwiModel, k: int) -> np.ndarray:
     """var(X_k) = sum_{j=0}^{k-1} A^j E(M_{k-j} M_{k-j}^T) (A^T)^j, k >= 1."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = _integer(k, "k", 1)
     return moment_stream(model, k)[1][k]
 
 
@@ -191,15 +183,14 @@ class GrowthExponents:
 def _chain_degrees(a, start) -> np.ndarray:
     """One plus the longest chain of positive entries from a ``start`` type to i.
 
-    0 where no chain reaches i.  Read off boolean products, so no product of
+    0 where no chain reaches i.  Read off the nilpotent orbit of the 0/1
+    pattern of positive entries, whose entries count chains, so no product of
     entries can overflow or underflow into another degree.
     """
-    edge = np.tril(np.asarray(a) > 0, -1)
-    reach = np.asarray(start, dtype=bool)
-    degrees = np.zeros(reach.shape, dtype=int)
-    for m in range(1, reach.size + 1):
-        degrees[reach] = m
-        reach = edge @ reach
+    edge = np.tril(np.asarray(a) > 0, -1).astype(float)
+    degrees = np.zeros(len(start), dtype=int)
+    for m, chains in enumerate(_nilpotent_orbit(edge, np.asarray(start, dtype=float)), 1):
+        degrees[chains > 0] = m
     return degrees
 
 

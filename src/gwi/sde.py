@@ -9,7 +9,9 @@ is a squared Bessel process if d_i = 1, and otherwise
 X_i = int_0^t sum_j B_ij X_j(s) ds.  Applied twice, this gives the 2-fold
 iterated integral of pattern 4, which also has the kernel forms (t - s) and
 (t - s)^2 / 2 (see :func:`kernel_representation_check`).  The limit mean is
-E X_i(t) = c_i t^(d_i) / d_i! with c = beta + B c (B is nilpotent).
+E X_i(t) = c_i t^(d_i) / d_i! with c = beta + B c: B is nilpotent, so c_i
+is the entry (B^(d_i - 1) beta)_i of the nilpotent orbit beta, B beta, ...
+that ``gwi.moments`` uses for every binomial-basis form.
 
 One streaming kernel integrates every triple on a time grid.  Rows with
 v_i > 0 take Euler-Maruyama squared Bessel steps (the positive part sits
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateLawError, OverflowGuardError, ValidationError
 from .model import GwiModel, detect_case
-from .moments import growth_exponents
+from .moments import _nilpotent_orbit, growth_exponents
 from .simulate import _integer, _prefix_sums, check_seed
 
 __all__ = [
@@ -343,18 +345,14 @@ def limit_system_marginals(
 def limit_mean_vector(system: LimitSystem, t: float) -> np.ndarray:
     """Closed-form E[X_t] = c_i t^(d_i) / d_i! of the limit system.
 
-    c solves c = beta + B c by forward substitution over the lower triangular
-    B, adding the nonzero terms B_ij c_j to beta_i in order of j.
+    c = beta + B c, so c_i = (B^(d_i - 1) beta)_i: B_ij is nonzero only where
+    d_j = d_i - 1 and beta_i only where d_i = 1, so c_i is one entry of the
+    nilpotent orbit of beta.
     """
     if not 0 <= t < math.inf:
         raise ValidationError(f"t must be finite and nonnegative, not {t!r}")
-    c: list[float] = []
-    for beta_i, row in zip(system.affine.beta.tolist(), system.affine.B.tolist()):
-        for b_ij, c_j in zip(row, c):
-            if b_ij:
-                beta_i = beta_i + b_ij * c_j
-        c.append(beta_i)
-    return np.array([ci * t**d / math.factorial(d) for ci, d in zip(c, system.exponents)])
+    orbit = [term.tolist() for term in _nilpotent_orbit(system.affine.B, system.affine.beta)]
+    return np.array([orbit[d - 1][i] * t**d / math.factorial(d) for i, d in enumerate(system.exponents)])
 
 
 def exact_first_coordinate_law(b: float, v: float, t: float) -> GammaLaw:

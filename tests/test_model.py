@@ -13,7 +13,6 @@ from gwi import (
     Geometric,
     JointTable,
     Poisson,
-    UnipotentMatrix,
     ValidationError,
     accessible,
     build_model,
@@ -317,7 +316,6 @@ UNIPOTENT_EDGE = [
 @pytest.mark.parametrize("a, accepted", UNIPOTENT_EDGE)
 def test_lower_unipotent_rule_at_its_tolerance_edge(a, accepted):
     checks = [
-        lambda: UnipotentMatrix(a),
         lambda: unipotent_power(a, 3),
         lambda: growth_exponents(a, np.ones(a.shape[0])),
         lambda: detect_case(a),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gwi import (
     Poisson,
-    UnipotentMatrix,
     ValidationError,
     build_model,
     classify_criticality,
@@ -26,6 +25,7 @@ from gwi import (
     unipotent_power,
     variance_matrix,
 )
+from gwi.moments import _nilpotent_orbit
 from util import (
     deterministic_model,
     poisson_case_model,
@@ -83,22 +83,43 @@ def test_unipotent_power_rejects_bad_input():
         unipotent_power(np.eye(2), 0)
 
 
+def test_unipotent_power_overflow_reads_inf_without_warning():
+    a = np.array([[1.0, 0.0, 0.0], [1e300, 1.0, 0.0], [0.0, 1e300, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2, 3, 50):
+            power = unipotent_power(a, k)
+            assert power[2, 0] == (math.inf if k >= 2 else 0.0)
+            assert not np.isnan(power).any()
+        assert np.array_equal(unipotent_power(a, 3)[1:, :2], [[3e300, 1.0], [math.inf, 3e300]])
+        # at p = 4 an inf of C^2 meets a zero of C in C^3, where inf * 0 would be nan
+        chain = np.eye(4) + np.diag([1e300] * 3, -1)
+        assert unipotent_power(chain, 5)[3].tolist() == [math.inf, math.inf, 5e300, 1.0]
+        model = build_model([Poisson(chain[:, j]) for j in range(4)], Poisson([1.0] * 4))
+        assert mean_polynomial(model, 3).coeffs == (1.0, 1e300, math.inf, math.inf)
+
+
 def test_nilpotent_power_structure():
+    # the orbit of I under C = A - I is C^0, ..., C^(p-1), checked against numpy's matrix power
     rng = np.random.default_rng(44)
     for _ in range(20):
         p = int(rng.integers(2, 7))
-        uni = UnipotentMatrix(random_unipotent(rng, p))
-        for m in range(1, p):
-            cm = np.asarray(uni.c_powers[m], dtype=float)
+        a = random_unipotent(rng, p)
+        c = np.tril(a, -1)
+        orbit = _nilpotent_orbit(c, np.eye(p))
+        assert len(orbit) == p
+        for m in range(p):
+            cm = np.linalg.matrix_power(c, m)
+            assert np.allclose(orbit[m], cm, rtol=1e-14, atol=0.0)
+            x = rng.uniform(0.0, 2.0, p)
+            assert np.allclose(_nilpotent_orbit(c, x)[m], cm @ x, rtol=1e-14, atol=0.0)
             for i in range(p):
                 for j in range(p):
                     if m > i - j:
-                        assert cm[i, j] == 0.0
-            for i in range(p):
+                        assert orbit[m][i, j] == 0.0
                 j = i - m
-                if j >= 0:
-                    expected = math.prod(uni.a[r + 1, r] for r in range(j, i))
-                    assert cm[i, j] == pytest.approx(expected)
+                if m and j >= 0:
+                    assert orbit[m][i, j] == pytest.approx(math.prod(a[r + 1, r] for r in range(j, i)))
 
 
 def test_growth_degree_inequality_property():
@@ -107,10 +128,9 @@ def test_growth_degree_inequality_property():
     for _ in range(30):
         p = int(rng.integers(2, 7))
         a = random_unipotent(rng, p, density=0.5)
-        uni = UnipotentMatrix(a)
         degrees = growth_exponents(a, np.ones(p)).degrees
         for m in range(p):
-            cm = np.asarray(uni.c_powers[m], dtype=float)
+            cm = np.linalg.matrix_power(np.tril(a, -1), m)
             for i in range(p):
                 for j in range(p):
                     if cm[i, j] > 0:
@@ -275,10 +295,78 @@ def test_mean_polynomial_with_an_inf_coefficient_agrees_with_the_mean_vector():
     model = poisson_case_model(4, subdiagonals=(1e300, 0, 1e300))
     poly = mean_polynomial(model, 2)
     for k in (1, 2, 3):
-        with np.errstate(over="ignore", invalid="ignore"):  # the recursion's variance overflows
+        with np.errstate(over="ignore", invalid="ignore"):  # E X_3 overflows to inf
             expected = mean_vector(model, k)[2]
         assert poly(k) == expected, k
     assert poly(0) == 0.0 and poly(3) == math.inf
+
+
+def test_mean_vector_runs_no_variance_recursion():
+    # E X_2 = (2, 1e300, 1e300) is finite although var X_2 overflows
+    model = poisson_case_model(4, subdiagonals=(1e300, 0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mean_vector(model, 2).tolist() == [2.0, 1e300, 1e300]
+        assert np.isfinite(martingale_second_moment(model, 2)).all()
+    # E(M_3 M_3^T) reads E X_2; with a32 = 0 it stays finite, but var X_2 overflows
+    model = poisson_case_model(3, subdiagonals=(1e300, 0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mean_vector(model, 2).tolist() == [2.0, 1e300, 2.0]
+        assert np.diag(martingale_second_moment(model, 3)).tolist() == [3.0, 3e300, 3.0]
+
+
+# (subdiagonals, [coeffs of coordinates 0, 1, 2] as float.hex)
+GOLDEN_MEAN_COEFFS = [
+    (
+        (1e300, 0, 1e300),
+        [
+            ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+            ["0x1.0000000000000p+0", "0x1.7e43c8800759cp+996", "0x0.0p+0"],
+            ["0x1.0000000000000p+0", "0x1.7e43c8800759cp+996", "inf"],
+        ],
+    ),
+    (
+        (1e-300, 0, 1e-300),
+        [
+            ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+            ["0x1.0000000000000p+0", "0x1.56e1fc2f8f359p-997", "0x0.0p+0"],
+            ["0x1.0000000000000p+0", "0x1.56e1fc2f8f359p-997", "0x0.0p+0"],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("subdiagonals, expected", GOLDEN_MEAN_COEFFS, ids=["1e300", "1e-300"])
+def test_mean_polynomial_coefficients_golden_bits(subdiagonals, expected):
+    model = poisson_case_model(4, subdiagonals=subdiagonals)
+    got = [[c.hex() for c in mean_polynomial(model, i).coeffs] for i in range(3)]
+    assert got == expected
+
+
+def _pattern4():
+    return poisson_case_model(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: unipotent_power(np.eye(3), "3"), id="unipotent_power-str"),
+        pytest.param(lambda: unipotent_power(np.eye(3), math.nan), id="unipotent_power-nan"),
+        pytest.param(lambda: unipotent_power(np.eye(3), 2.0), id="unipotent_power-float"),
+        pytest.param(lambda: mean_polynomial(_pattern4(), 1.5), id="mean_polynomial-1.5"),
+        pytest.param(lambda: leading_asymptotic(_pattern4(), 1.5), id="leading_asymptotic-1.5"),
+        pytest.param(lambda: mean_polynomial(_pattern4(), 2)(2.7), id="poly-2.7"),
+        pytest.param(lambda: mean_polynomial(_pattern4(), 2)(-1), id="poly-minus1"),
+        pytest.param(lambda: mean_polynomial(_pattern4(), 2)(math.nan), id="poly-nan"),
+        pytest.param(lambda: mean_vector(_pattern4(), 2.5), id="mean_vector-2.5"),
+        pytest.param(lambda: martingale_second_moment(_pattern4(), 0), id="martingale-0"),
+        pytest.param(lambda: variance_matrix(_pattern4(), "2"), id="variance-str"),
+    ],
+)
+def test_moment_api_integer_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_leading_asymptotic_counts_chains_from_positive_immigration_only():
@@ -373,10 +461,10 @@ def test_moment_stream_mean_matches_binomial_form_and_matrix_powers(model, k):
 @settings(max_examples=60, deadline=None)
 @given(model=unipotent_poisson_models())
 def test_leading_degree_is_the_top_nonzero_coefficient_in_range(model):
-    uni = UnipotentMatrix(model.A)
+    c = np.tril(model.A, -1)
     for i in range(model.p):
         poly = mean_polynomial(model, i)
-        powers = [uni.c_powers[m][i] @ model.b for m in range(model.p)]
+        powers = [np.linalg.matrix_power(c, m)[i] @ model.b for m in range(model.p)]
         assert np.allclose(poly.coeffs, powers, rtol=_RTOL, atol=0.0)
         degree, coeff = leading_asymptotic(model, i)
         assert degree == poly.degree

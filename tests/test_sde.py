@@ -162,6 +162,84 @@ def test_limit_mean_vector_cases():
     assert np.allclose(limit_mean_vector(sys3, 1.0), [2.0, 1.0, 0.5])
 
 
+# float.hex of limit_mean_vector at each of GOLDEN_TIMES; the first four systems are
+# the Poisson flagships with b = (1, 2, 2), the rest have entries that are not dyadic,
+# and at t = 1.7 the pattern-4 value depends on the order c_i t^d / d! is formed in
+GOLDEN_TIMES = (0.25, 1.0, 2.5, 1.7)
+GOLDEN_LIMIT_MEANS = {
+    "flagship1": (
+        lambda: LimitSystem.from_model(poisson_case_model(1, immigration=(1.0, 2.0, 2.0))),
+        [
+            ["0x1.0000000000000p-2", "0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+            ["0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+1"],
+            ["0x1.4000000000000p+1", "0x1.4000000000000p+2", "0x1.4000000000000p+2"],
+            ["0x1.b333333333333p+0", "0x1.b333333333333p+1", "0x1.b333333333333p+1"],
+        ],
+    ),
+    "flagship2": (
+        lambda: LimitSystem.from_model(poisson_case_model(2, immigration=(1.0, 2.0, 2.0))),
+        [
+            ["0x1.0000000000000p-2", "0x1.0000000000000p-1", "0x1.8000000000000p-5"],
+            ["0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.8000000000000p-1"],
+            ["0x1.4000000000000p+1", "0x1.4000000000000p+2", "0x1.2c00000000000p+2"],
+            ["0x1.b333333333333p+0", "0x1.b333333333333p+1", "0x1.1570a3d70a3d6p+1"],
+        ],
+    ),
+    "flagship3": (
+        lambda: LimitSystem.from_model(poisson_case_model(3, immigration=(1.0, 2.0, 2.0))),
+        [
+            ["0x1.0000000000000p-2", "0x1.0000000000000p-6", "0x1.0000000000000p-6"],
+            ["0x1.0000000000000p+0", "0x1.0000000000000p-2", "0x1.0000000000000p-2"],
+            ["0x1.4000000000000p+1", "0x1.9000000000000p+0", "0x1.9000000000000p+0"],
+            ["0x1.b333333333333p+0", "0x1.71eb851eb851ep-1", "0x1.71eb851eb851ep-1"],
+        ],
+    ),
+    "flagship4": (
+        lambda: LimitSystem.from_model(poisson_case_model(4, immigration=(1.0, 2.0, 2.0))),
+        [
+            ["0x1.0000000000000p-2", "0x1.0000000000000p-6", "0x1.5555555555555p-11"],
+            ["0x1.0000000000000p+0", "0x1.0000000000000p-2", "0x1.5555555555555p-5"],
+            ["0x1.4000000000000p+1", "0x1.9000000000000p+0", "0x1.4d55555555555p-1"],
+            ["0x1.b333333333333p+0", "0x1.71eb851eb851ep-1", "0x1.a33e1f6715299p-3"],
+        ],
+    ),
+    "pattern2-two-term": (
+        lambda: LimitSystem(case=2, b=(0.1, 0.7, 0.0), v=(1.0, 1.0, 1.0), a31=0.3, a32=1.1),
+        [
+            ["0x1.999999999999ap-6", "0x1.6666666666666p-3", "0x1.999999999999ap-6"],
+            ["0x1.999999999999ap-4", "0x1.6666666666666p-1", "0x1.999999999999ap-2"],
+            ["0x1.0000000000000p-2", "0x1.c000000000000p+0", "0x1.4000000000000p+1"],
+            ["0x1.5c28f5c28f5c3p-3", "0x1.30a3d70a3d70ap+0", "0x1.27ef9db22d0e5p+0"],
+        ],
+    ),
+    "pattern3": (
+        lambda: LimitSystem(case=3, b=(0.7, 0.0, 0.0), v=(1.0, 1.0, 1.0), a21=0.3, a31=1.1),
+        [
+            ["0x1.6666666666666p-3", "0x1.ae147ae147ae1p-8", "0x1.8a3d70a3d70a4p-6"],
+            ["0x1.6666666666666p-1", "0x1.ae147ae147ae1p-4", "0x1.8a3d70a3d70a4p-2"],
+            ["0x1.c000000000000p+0", "0x1.5000000000000p-1", "0x1.3400000000000p+1"],
+            ["0x1.30a3d70a3d70ap+0", "0x1.36bb98c7e2823p-2", "0x1.1cd6a161e4f76p+0"],
+        ],
+    ),
+    "pattern4": (
+        lambda: LimitSystem(case=4, b=(0.7, 0.0, 0.0), v=(1.0, 1.0, 1.0), a21=0.3, a32=1.1),
+        [
+            ["0x1.6666666666666p-3", "0x1.ae147ae147ae1p-8", "0x1.3b645a1cac083p-11"],
+            ["0x1.6666666666666p-1", "0x1.ae147ae147ae1p-4", "0x1.3b645a1cac083p-5"],
+            ["0x1.c000000000000p+0", "0x1.5000000000000p-1", "0x1.3400000000000p-1"],
+            ["0x1.30a3d70a3d70ap+0", "0x1.36bb98c7e2823p-2", "0x1.8361565c2d278p-3"],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_LIMIT_MEANS))
+def test_limit_mean_vector_golden_bits(name):
+    make, expected = GOLDEN_LIMIT_MEANS[name]
+    system = make()
+    assert [[x.hex() for x in limit_mean_vector(system, t).tolist()] for t in GOLDEN_TIMES] == expected
+
+
 def test_limit_mean_is_top_mean_polynomial_term():
     # E X_{floor(n t), i} / n^(d_i) tends to coeffs[d_i - 1] t^(d_i) / d_i!,
     # with the model's coordinates read in the normalized order
