@@ -18,9 +18,8 @@ for :class:`Poisson`, and the Gamma-distributed
 ``Geometric.poisson_rate(counts, rng)``.  Conditionally independent Poissons
 superpose, so the branching step adds these rates over laws and draws one
 Poisson variate per replica and coordinate.  Those Poisson variates and the
-Gammas are drawn through :func:`_draw`: one array call for a large batch, one
-scalar call per variate, from the same stream, for a small one, and scalar
-calls of row r's own generator when each row has one.
+Gammas are drawn through :func:`_draw`: one array call for a batch with one
+generator, and scalar calls of row r's own generator when each row has one.
 
 Parametric kinds have independent coordinates; correlated coordinates require
 :class:`JointTable`.
@@ -47,12 +46,6 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
-# Batches of at most this many variates are drawn one scalar call at a time.
-# The crossover measured on a 2-vCPU x86 host with numpy 2.4 is about 14
-# variates for ``poisson`` and 8 for ``standard_gamma``; the Poisson call is
-# the one every generation makes.  Either side gives the same stream.
-_SCALAR_DRAWS = 12
-
 
 def _as_1d_float(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -76,24 +69,19 @@ def _sampler(rng, name: str):
 def _draw(sampler, params: np.ndarray, dtype) -> np.ndarray:
     """``sampler(params)``: one variate per entry of ``params``, in C order.
 
-    numpy's array and scalar calls of a sampler such as ``rng.poisson`` or
-    ``rng.standard_gamma`` run the same routine once per variate in C order,
-    so they return the same values and leave the generator in the same state.
-    An array call pays several microseconds of argument checks, a scalar call
-    about one, so a batch of at most ``_SCALAR_DRAWS`` variates makes one
-    scalar call per variate.  ``sampler`` may also be a list of samplers
-    from :func:`_sampler`, one per row of a 2-d ``params``: row r is then
-    drawn by scalar calls of ``sampler[r]``, the values a one-row batch
-    drawn from its generator would get.  Both raise numpy's ``ValueError``
-    for a parameter the sampler rejects; the scalar calls before it have
-    drawn.
+    ``sampler`` may also be a list of samplers from :func:`_sampler`, one per
+    row of a 2-d ``params``: row r is then drawn by scalar calls of
+    ``sampler[r]``.  numpy's array and scalar calls of a sampler such as
+    ``rng.poisson`` or ``rng.standard_gamma`` run the same routine once per
+    variate in C order, so row r gets the values a one-row array call on its
+    generator would, and leaves that generator in the same state; a scalar
+    call pays about one microsecond of argument checks, an array call
+    several.  Both raise numpy's ``ValueError`` for a parameter the sampler
+    rejects; the scalar calls before it have drawn.
     """
-    if isinstance(sampler, list):
-        values = [draw(x) for draw, row in zip(sampler, params.tolist()) for x in row]
-    elif params.size > _SCALAR_DRAWS:
+    if not isinstance(sampler, list):
         return sampler(params)
-    else:
-        values = list(map(sampler, params.ravel().tolist()))
+    values = [draw(x) for draw, row in zip(sampler, params.tolist()) for x in row]
     return np.array(values, dtype=dtype).reshape(params.shape)
 
 
@@ -272,9 +260,8 @@ class Geometric(DistributionSpec):
         """Row r is Gamma(counts[r]) * (1-p)/p, one Gamma per coordinate with p < 1.
 
         The Gammas are drawn in C order over rows and coordinates, by one
-        ``standard_gamma`` array call for a large batch and one scalar call
-        per Gamma for a small one (the same stream).  ``rng`` may also be a
-        sequence of one generator per row, which draws row r's Gammas.  A
+        ``standard_gamma`` array call.  ``rng`` may also be a sequence of one
+        generator per row, which draws row r's Gammas by scalar calls.  A
         coordinate with p = 1, or a row with count 0, has shape 0: numpy
         returns 0 for it and takes nothing from the stream, so its rate is 0.
         """

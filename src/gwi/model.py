@@ -10,8 +10,16 @@ vector ``b``, and the covariance matrices ``V[0] = var(immigration)``,
 The module also computes one reachability closure of the type digraph and
 reads from it both accessibility and the reducible normal form (block lower
 triangular with irreducible diagonal blocks).  It classifies criticality by
-the spectral radii of those blocks, and detects which of the four
-sub-diagonal sign patterns a 3-type lower-unipotent mean matrix falls into.
+the spectral radii of those blocks.
+
+For a lower-unipotent mean matrix, one chain rule gives every structural
+count: the growth degree d_i is one plus the longest chain
+j_0 -> j_1 -> ... -> j_m = i of strictly positive entries, read off the
+nilpotent orbit of the 0/1 pattern of those entries under C = A - I.  The
+same orbit helper gives every binomial-basis form of ``gwi.moments`` and the
+limit mean of ``gwi.sde``.  For p = 3 the degrees name which of the four
+sub-diagonal sign patterns A falls into, and the coordinate order that
+normalizes it (:func:`detect_case`).
 """
 
 from __future__ import annotations
@@ -235,6 +243,38 @@ def _reach(a: np.ndarray) -> np.ndarray:
     return reach
 
 
+def _nilpotent_orbit(n, x) -> list[np.ndarray]:
+    """[x, N x, ..., N^(p-1) x] for a strictly lower triangular p x p ``n``.
+
+    ``x`` is a p-vector or a p x q matrix.  Each product adds only the terms
+    N_ij x_j with N_ij != 0, under ``np.errstate(all="ignore")``: with
+    nonnegative entries a term that underflows reads 0.0 and one that
+    overflows reads inf, never nan, and nothing warns.  Object arrays of
+    Python ints stay exact.
+    """
+    n = np.asarray(n)
+    n = n.reshape(n.shape + (1,) * (np.ndim(x) - 1))  # N_ij against row j of a matrix x
+    orbit = [x]
+    with np.errstate(all="ignore"):
+        for _ in range(1, n.shape[0]):
+            orbit.append(np.where(n != 0, n * orbit[-1], 0).sum(axis=1))
+    return orbit
+
+
+def _chain_degrees(a, start) -> np.ndarray:
+    """One plus the longest chain of positive entries from a ``start`` type to i.
+
+    0 where no chain reaches i.  Read off the nilpotent orbit of the 0/1
+    pattern of positive entries, whose entries count chains, so no product of
+    entries can overflow or underflow into another degree.
+    """
+    edge = np.tril(np.asarray(a) > 0, -1).astype(float)
+    degrees = np.zeros(len(start), dtype=int)
+    for m, chains in enumerate(_nilpotent_orbit(edge, np.asarray(start, dtype=float)), 1):
+        degrees[chains > 0] = m
+    return degrees
+
+
 def reducible_normal_form(a) -> NormalForm:
     """Normal form of a nonnegative matrix by its communicating classes.
 
@@ -276,9 +316,7 @@ class CaseId:
 
     ``permutation[new] = old`` (0-based): the process with coordinates
     reordered by it has a mean matrix matching pattern ``value`` exactly.
-    The permutation is the identity except for the two patterns that
-    normalize to pattern 2 (only a32 > 0: swap types 1 and 2; only
-    a21 > 0: swap types 2 and 3).
+    :func:`detect_case` reads both off the growth degrees.
     """
 
     value: int
@@ -307,30 +345,23 @@ class CaseId:
 def detect_case(a) -> CaseId:
     """Classify a 3x3 lower-unipotent mean matrix into patterns 1-4.
 
-    An entry is present when it is strictly positive, as in the growth
-    degrees; ``ZERO_TOL`` bounds only the diagonal and the upper entries.
-    The two sign patterns not in the table (only a32 positive, only a21
-    positive) are normalized to pattern 2 by the returned coordinate swap.
+    An entry is present when it is strictly positive; ``ZERO_TOL`` bounds
+    only the diagonal and the upper entries.  With d the growth degrees (one
+    plus the longest chain of present entries ending at each type), the
+    pattern is d_1 + d_2 + d_3 - 2: the sum is 3 for three squared Bessel
+    processes and grows by one per level of integration.  The permutation
+    sorts the types by d, and among equal degrees puts the types that feed
+    another type first, keeping the original order otherwise.
     """
     a = _check_square_nonneg(a)
     if a.shape != (3, 3):
         raise ValidationError("detect_case needs a 3x3 matrix")
     if not _lower_unipotent(a):
         raise ValidationError("matrix must be lower triangular with unit diagonal")
-
-    a21, a31, a32 = a[1, 0] > 0, a[2, 0] > 0, a[2, 1] > 0
-    if not a21 and not a31 and not a32:
-        return CaseId(1)
-    if not a21 and a31:
-        return CaseId(2)
-    if a21 and a31 and not a32:
-        return CaseId(3)
-    if a21 and a32:
-        return CaseId(4)
-    if not a21 and not a31 and a32:
-        return CaseId(2, permutation=(1, 0, 2))
-    # a21 only
-    return CaseId(2, permutation=(0, 2, 1))
+    degrees = _chain_degrees(a, np.ones(3)).tolist()
+    feeds = np.tril(a > 0, -1).any(axis=0).tolist()
+    permutation = sorted(range(3), key=lambda i: (degrees[i], not feeds[i]))
+    return CaseId(sum(degrees) - 2, tuple(permutation))
 
 
 def accessible(a, i: int, j: int) -> bool:

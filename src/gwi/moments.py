@@ -12,27 +12,30 @@ alone, and :func:`variance_matrix` reads one row.
 
 For a lower triangular A with unit diagonal the nilpotent part C = A - I
 satisfies C^p = 0, so every power of A is the finite binomial sum
-``A^k = sum_m binom(k, m) C^m``.  One helper, the nilpotent orbit
-x, C x, ..., C^(p-1) x of a vector or a matrix x, gives every form in this
-binomial basis: the powers of A (x = I), the mean polynomial's coefficients
-(C^m b)_i (x = b), and the growth degrees (the orbit of the 0/1 pattern of
-positive entries counts chains, the sign rule of ``detect_case``);
-``gwi.sde`` reads the limit mean off the orbit of its drift.  Each product
-adds only the terms with a nonzero entry of C, so with nonnegative entries
-a term that underflows reads 0.0 and one that overflows reads inf, never
-nan.  Binomial coefficients are exact Python integers; integer-valued
-matrices are computed in exact integer arithmetic, float matrices in float64.
+``A^k = sum_m binom(k, m) C^m``.  One helper of ``gwi.model``, the
+nilpotent orbit x, C x, ..., C^(p-1) x of a vector or a matrix x, gives every
+form in this binomial basis: the powers of A (x = I) and the mean
+polynomial's coefficients (C^m b)_i (x = b); ``gwi.sde`` reads the limit mean
+off the orbit of its drift.  Each product adds only the terms with a nonzero
+entry of C, so with nonnegative entries a term that underflows reads 0.0 and
+one that overflows reads inf, never nan.  Every degree here is a growth
+degree of ``gwi.model``'s one chain rule, never read off float values: the
+growth exponents, the mean polynomial's degree (chains from the types with
+b_j > 0), its leading term, and the growth-fit targets.  Integer-valued
+matrices are computed in exact integer arithmetic with exact binomial
+coefficients, float matrices in float64, where a binomial coefficient past
+the float range reads inf and a zero entry or coefficient stays 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import GwiModel, _lower_unipotent
+from .model import GwiModel, _chain_degrees, _lower_unipotent, _nilpotent_orbit
 from .simulate import _integer
 
 __all__ = [
@@ -51,24 +54,6 @@ __all__ = [
 ]
 
 
-def _nilpotent_orbit(n, x) -> list[np.ndarray]:
-    """[x, N x, ..., N^(p-1) x] for a strictly lower triangular p x p ``n``.
-
-    ``x`` is a p-vector or a p x q matrix.  Each product adds only the terms
-    N_ij x_j with N_ij != 0, under ``np.errstate(all="ignore")``: with
-    nonnegative entries a term that underflows reads 0.0 and one that
-    overflows reads inf, never nan, and nothing warns.  Object arrays of
-    Python ints stay exact.
-    """
-    n = np.asarray(n)
-    n = n.reshape(n.shape + (1,) * (np.ndim(x) - 1))  # N_ij against row j of a matrix x
-    orbit = [x]
-    with np.errstate(all="ignore"):
-        for _ in range(1, n.shape[0]):
-            orbit.append(np.where(n != 0, n * orbit[-1], 0).sum(axis=1))
-    return orbit
-
-
 def unipotent_power(a, k: int) -> np.ndarray:
     """A^k = sum_{m=0}^{p-1} binom(k, m) (A - I)^m of a lower-unipotent A, k >= 1.
 
@@ -82,9 +67,21 @@ def unipotent_power(a, k: int) -> np.ndarray:
     exact = arr.dtype == object or np.issubdtype(arr.dtype, np.integer)
     arr = np.frompyfunc(int, 1, 1)(arr) if exact else arr.astype(float)  # Python ints or float64
     powers = _nilpotent_orbit(np.tril(arr, -1), np.eye(len(arr), dtype=arr.dtype))
-    # binom(k, m) = 0 for m > k: those terms are left out, as an inf times 0 is nan
+    weight = comb if exact else _binomial
+    # the terms with binom(k, m) = 0 (m > k) and the zero entries are left out: inf * 0 is nan
     with np.errstate(over="ignore"):
-        return sum(comb(k, m) * power for m, power in enumerate(powers[: k + 1]))
+        return sum(
+            np.multiply(weight(k, m), power, out=np.zeros_like(power), where=power != 0)
+            for m, power in enumerate(powers[: k + 1])
+        )
+
+
+def _binomial(k: int, m: int) -> float:
+    """binom(k, m) in float64: inf where it passes the float range."""
+    try:
+        return float(comb(k, m))
+    except OverflowError:
+        return inf
 
 
 def _mean_rows(model: GwiModel, K: int) -> np.ndarray:
@@ -112,22 +109,22 @@ def mean_vector(model: GwiModel, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanPolynomial:
-    """E X_{k, i} = sum_{m=1}^{p} coeffs[m-1] * binom(k, m) for one coordinate."""
+    """E X_{k, i} = sum_{m=1}^{p} coeffs[m-1] * binom(k, m) for one coordinate.
+
+    ``degree`` is one plus the longest chain of positive entries that ends at
+    the coordinate and starts at a type j with b_j > 0, 0 if there is none:
+    the top nonzero coefficient in exact arithmetic, also where the float
+    one underflows to 0.0.
+    """
 
     coordinate: int
     coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        for m in range(len(self.coeffs), 0, -1):
-            if self.coeffs[m - 1] != 0.0:
-                return m
-        return 0
+    degree: int
 
     def __call__(self, k: int) -> float:
-        # skip the terms with binom(k, m) = 0: an inf coefficient times 0 is nan
+        # skip the terms with binom(k, m) = 0 or a zero coefficient: inf times 0 is nan
         k = _integer(k, "k", 0)
-        return float(sum(c * comb(k, m) for m, c in enumerate(self.coeffs, 1) if m <= k))
+        return float(sum(c * _binomial(k, m) for m, c in enumerate(self.coeffs, 1) if m <= k and c != 0))
 
 
 def mean_polynomial(model: GwiModel, i: int) -> MeanPolynomial:
@@ -143,7 +140,8 @@ def mean_polynomial(model: GwiModel, i: int) -> MeanPolynomial:
     if not 0 <= i < model.p:
         raise ValidationError(f"coordinate must be in 0..{model.p - 1}")
     terms = _nilpotent_orbit(np.tril(model.A, -1), model.b)
-    return MeanPolynomial(coordinate=i, coeffs=tuple(float(term[i]) for term in terms))
+    degree = int(_chain_degrees(model.A, model.b > 0)[i])
+    return MeanPolynomial(coordinate=i, coeffs=tuple(float(term[i]) for term in terms), degree=degree)
 
 
 def conditional_covariance(model: GwiModel, state) -> np.ndarray:
@@ -180,20 +178,6 @@ class GrowthExponents:
     degrees: tuple[int, ...]
 
 
-def _chain_degrees(a, start) -> np.ndarray:
-    """One plus the longest chain of positive entries from a ``start`` type to i.
-
-    0 where no chain reaches i.  Read off the nilpotent orbit of the 0/1
-    pattern of positive entries, whose entries count chains, so no product of
-    entries can overflow or underflow into another degree.
-    """
-    edge = np.tril(np.asarray(a) > 0, -1).astype(float)
-    degrees = np.zeros(len(start), dtype=int)
-    for m, chains in enumerate(_nilpotent_orbit(edge, np.asarray(start, dtype=float)), 1):
-        degrees[chains > 0] = m
-    return degrees
-
-
 def growth_exponents(a, b) -> GrowthExponents:
     """Read the growth degrees off chains of positive entries, from every type."""
     a = np.asarray(a)
@@ -211,15 +195,13 @@ def growth_exponents(a, b) -> GrowthExponents:
 def leading_asymptotic(model: GwiModel, i: int) -> tuple[int, float]:
     """Dominant binomial term of E X_{k, i}: (degree, coefficient).
 
-    E X_{k, i} = coefficient * binom(k, degree) + O(k^(degree - 1)).  The
-    degree is one plus the longest chain of positive entries that ends at i
-    and starts at a type j with b_j > 0, (0, 0.0) if there is none.  The
-    coefficient is the :func:`mean_polynomial` one at that degree, 0.0 if it
+    E X_{k, i} = coefficient * binom(k, degree) + O(k^(degree - 1)), with the
+    degree and coefficient of :func:`mean_polynomial`: (0, 0.0) if no chain
+    from a type with b_j > 0 reaches i, and a coefficient of 0.0 if it
     underflows and inf if it overflows.
     """
     poly = mean_polynomial(model, i)
-    degree = int(_chain_degrees(model.A, model.b > 0)[i])
-    return (degree, poly.coeffs[degree - 1] if degree else 0.0)
+    return (poly.degree, poly.coeffs[poly.degree - 1] if poly.degree else 0.0)
 
 
 def moment_growth_targets(model: GwiModel) -> dict:
@@ -228,20 +210,16 @@ def moment_growth_targets(model: GwiModel) -> dict:
     Per coordinate i with mean degree d_i: the cross moment
     |E(M_{k,i} M_{k,j})| grows like k^min(d_i, d_j), the running-sum sup
     square like n^(d_i + 1) and the linearly weighted one like n^(d_i + 3).
-    E(M_{k,i}^4) = O(k^2) holds for coordinates whose row of A is a Kronecker
-    delta row (they receive offspring from their own type only); other rows
-    get no fourth-moment target.
+    E(M_{k,i}^4) = O(k^2) holds for the coordinates of degree 1, which no
+    positive entry feeds from another type; the others get no fourth-moment
+    target.
     """
-    exps = growth_exponents(model.A, model.b)
-    degrees = exps.degrees
+    degrees = growth_exponents(model.A, model.b).degrees
     p = model.p
-    delta_row = [
-        bool(np.all(model.A[i] == np.eye(p)[i])) for i in range(p)
-    ]
     return {
         "mean": list(degrees),
         "cross": [[min(degrees[i], degrees[j]) for j in range(p)] for i in range(p)],
-        "fourth": [2 if delta_row[i] else None for i in range(p)],
+        "fourth": [2 if d == 1 else None for d in degrees],
         "sum_sup": [d + 1 for d in degrees],
         "weighted_sum_sup": [d + 3 for d in degrees],
     }

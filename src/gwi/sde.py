@@ -2,16 +2,17 @@
 
 Every limit system is one affine diffusion from zero (Duffie, Filipovic &
 Schachermayer 2003), dX = (beta + B X) dt + diag(sqrt(v_i X_i)) dW with
-independent W_i.  With d = ``growth_exponents(A, b).degrees`` the growth
-degrees of the normalized mean matrix A, beta_i = b_i and v_i are kept where
-d_i = 1 and 0 elsewhere, and B_ij = a_ij where d_j = d_i - 1, else 0.  So X_i
-is a squared Bessel process if d_i = 1, and otherwise
-X_i = int_0^t sum_j B_ij X_j(s) ds.  Applied twice, this gives the 2-fold
-iterated integral of pattern 4, which also has the kernel forms (t - s) and
-(t - s)^2 / 2 (see :func:`kernel_representation_check`).  The limit mean is
+independent W_i.  With d the growth degrees of the normalized mean matrix A
+(the chain rule of ``gwi.model``, off which ``detect_case`` reads the
+pattern), beta_i = b_i and v_i are kept where d_i = 1 and 0 elsewhere, and
+B_ij = a_ij where d_j = d_i - 1, else 0.  So X_i is a squared Bessel
+process if d_i = 1, and otherwise X_i = int_0^t sum_j B_ij X_j(s) ds.
+Applied twice, this gives the 2-fold iterated integral of pattern 4, which
+also has the kernel forms (t - s) and (t - s)^2 / 2 (see
+:func:`kernel_representation_check`).  The limit mean is
 E X_i(t) = c_i t^(d_i) / d_i! with c = beta + B c: B is nilpotent, so c_i
-is the entry (B^(d_i - 1) beta)_i of the nilpotent orbit beta, B beta, ...
-that ``gwi.moments`` uses for every binomial-basis form.
+is the entry (B^(d_i - 1) beta)_i of the nilpotent orbit beta, B beta, ...,
+the helper of ``gwi.model`` behind every binomial-basis form.
 
 One streaming kernel integrates every triple on a time grid.  Rows with
 v_i > 0 take Euler-Maruyama squared Bessel steps (the positive part sits
@@ -44,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateLawError, OverflowGuardError, ValidationError
-from .model import GwiModel, detect_case
-from .moments import _nilpotent_orbit, growth_exponents
+from .model import GwiModel, _chain_degrees, _nilpotent_orbit, detect_case
 from .simulate import _integer, _prefix_sums, check_seed
 
 __all__ = [
@@ -106,7 +106,7 @@ class LimitSystem:
                 f"(a21, a31, a32) = ({self.a21}, {self.a31}, {self.a32}) "
                 f"does not match pattern {self.case}"
             )
-        degrees = growth_exponents(a, self.b).degrees
+        degrees = tuple(_chain_degrees(a, np.ones(3)).tolist())
         besq = np.array(degrees) == 1
         chain = np.subtract.outer(degrees, degrees) == 1  # d_i = d_j + 1
         kept = ((besq, self.b), (chain, a), (besq, self.v))

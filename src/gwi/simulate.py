@@ -209,11 +209,10 @@ def step_ensemble(
     over replicas and the coordinates with p < 1), the Geometric
     immigration's, the Poisson variates, then ``sample_sum`` of every other
     offspring law in type order and ``sample`` of any other immigration law;
-    with one generator per row, each phase runs over the rows in order.  A
-    large one-generator batch draws the Poisson variates and each law's
-    Gammas with one array call; a small one, or a row with its own
-    generator, draws them one scalar call at a time from the same stream, so
-    the values do not depend on the batch size.
+    with one generator per row, each phase runs over the rows in order.  One
+    generator draws the Poisson variates and each law's Gammas with one array
+    call; a row with its own generator draws them one scalar call at a time,
+    the values a one-row array call on that generator would give.
 
     ``states`` must hold nonnegative integers; a float state such as 1.7 or
     nan raises :class:`ValidationError`.  A state past 2**53, or one whose

@@ -285,6 +285,28 @@ def test_detect_case_permutation_lands_in_table():
         assert matches == [cid.value]
 
 
+# (a21 > 0, a31 > 0, a32 > 0) -> (pattern, permutation), as the sign table gave them
+DETECT_CASE_TABLE = {
+    (0, 0, 0): (1, (0, 1, 2)),
+    (0, 0, 1): (2, (1, 0, 2)),
+    (0, 1, 0): (2, (0, 1, 2)),
+    (0, 1, 1): (2, (0, 1, 2)),
+    (1, 0, 0): (2, (0, 2, 1)),
+    (1, 0, 1): (4, (0, 1, 2)),
+    (1, 1, 0): (3, (0, 1, 2)),
+    (1, 1, 1): (4, (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("magnitude", [1e-300, 1e-13, 0.5, 1e300])
+def test_detect_case_golden_table(magnitude):
+    for present, expected in DETECT_CASE_TABLE.items():
+        a = np.eye(3)
+        a[1, 0], a[2, 0], a[2, 1] = (magnitude * x for x in present)
+        cid = detect_case(a)
+        assert (cid.value, cid.permutation) == expected, present
+
+
 def test_detect_case_rejects_non_unipotent():
     with pytest.raises(ValidationError):
         detect_case(np.diag([1.0, 1.0, 0.5]))
@@ -307,6 +329,8 @@ UNIPOTENT_EDGE = [
     pytest.param(_pattern4_with(1, 1, 1 - 5e-13), True, id="diag-5e-13"),
     pytest.param(_pattern4_with(1, 1, 1 + 2e-12), False, id="diag+2e-12"),
     pytest.param(_pattern4_with(1, 1, 1 - 2e-12), False, id="diag-2e-12"),
+    pytest.param(_pattern4_with(0, 0, 1 + 5e-13), True, id="diag0+5e-13"),
+    pytest.param(_pattern4_with(0, 0, 1 - 5e-13), True, id="diag0-5e-13"),
     pytest.param(_pattern4_with(0, 2, 5e-13), True, id="upper5e-13"),
     pytest.param(_pattern4_with(0, 2, 2e-12), False, id="upper2e-12"),
     pytest.param(np.eye(3)[:2], False, id="non-square"),
@@ -331,6 +355,15 @@ def test_lower_unipotent_rule_at_its_tolerance_edge(a, accepted):
         else:
             with pytest.raises(ValidationError):
                 check()
+
+
+@pytest.mark.parametrize("a", [pytest.param(p.values[0], id=p.id) for p in UNIPOTENT_EDGE if p.values[1]])
+def test_fourth_moment_target_reads_the_growth_degree_at_the_tolerance_edge(a):
+    # pattern 4 within ZERO_TOL: only type 1 has degree 1, whatever its diagonal or upper entries
+    model = build_model([Poisson(a[:, i]) for i in range(3)], Poisson([1.0, 1.0, 1.0]))
+    targets = moment_growth_targets(model)
+    assert targets["mean"] == [1, 2, 3]
+    assert targets["fourth"] == [2, None, None]
 
 
 def test_accessible_examples():

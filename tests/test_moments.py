@@ -25,7 +25,7 @@ from gwi import (
     unipotent_power,
     variance_matrix,
 )
-from gwi.moments import _nilpotent_orbit
+from gwi.model import _chain_degrees, _nilpotent_orbit
 from util import (
     deterministic_model,
     poisson_case_model,
@@ -287,6 +287,30 @@ def test_leading_asymptotic_overflow_reads_inf_without_warning():
         warnings.simplefilter("error")
         assert leading_asymptotic(model, 2) == (3, math.inf)
         assert mean_polynomial(model, 2).coeffs == (1.0, 1e300, math.inf)
+
+
+@pytest.mark.parametrize("entry", [1e-200, 1e300])
+def test_mean_polynomial_degree_is_the_chain_degree(entry):
+    # a32 * a21 underflows to 0.0 or overflows to inf; the chain 1 -> 2 -> 3 has degree 3 either way
+    model = poisson_case_model(4, subdiagonals=(entry, 0, entry))
+    chain = _chain_degrees(model.A, model.b > 0).tolist()
+    assert chain == [1, 2, 3]
+    for i in range(3):
+        assert mean_polynomial(model, i).degree == leading_asymptotic(model, i)[0] == chain[i]
+
+
+def test_binomial_coefficients_past_the_float_range_read_inf():
+    k = 10**200
+    a = np.eye(3) + np.diag([0.5, 0.5], -1)
+    model = build_model([Poisson(a[:, j]) for j in range(3)], Poisson([1.0, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # binom(k, 2) passes the float range; the zero entries of C^2 stay 0.0
+        assert unipotent_power(a, k).tolist() == [[1.0, 0.0, 0.0], [5e199, 1.0, 0.0], [math.inf, 5e199, 1.0]]
+        # coefficients (1, 0, 0), (0, 0.5, 0) and (0, 0, 0.25): the zero ones add nothing
+        assert [mean_polynomial(model, i)(k) for i in range(3)] == [1e200, math.inf, math.inf]
+    exact = unipotent_power(np.eye(3, dtype=int) + np.diag([1, 1], -1), k)
+    assert exact[2, 0] == math.comb(k, 2) and exact[1, 0] == k
 
 
 def test_mean_polynomial_with_an_inf_coefficient_agrees_with_the_mean_vector():

@@ -32,7 +32,7 @@ from gwi import (
     weighted_sum_identity_3,
 )
 from gwi.cli import IDENTITY_GRID_SCALES
-from gwi.distributions import _SCALAR_DRAWS, _draw
+from gwi.distributions import _draw
 from gwi.simulate import _prefix_sums
 from util import deterministic_model, poisson_case_model, single_type_poisson
 
@@ -135,8 +135,8 @@ def test_overflow_guard_trips():
         simulate_trajectory(doubling, 80, seed=0)
 
 
-# replica counts whose batches are drawn by scalar calls, then by one array call
-BOTH_SIDES_OF_THE_CUTOFF = (1, _SCALAR_DRAWS + 1)
+# replica counts of a one-row batch and of a batch of several rows
+REPLICA_COUNTS = (1, 13)
 
 
 def test_overflow_guard_trips_on_all_poisson_model():
@@ -144,7 +144,7 @@ def test_overflow_guard_trips_on_all_poisson_model():
     assert model.poisson_mixture[2:] == ((), ())  # all Poisson
     with pytest.raises(OverflowGuardError):
         simulate_trajectory(model, 3, seed=0, initial=[0, 2**53 + 1, 0])
-    for replicas in BOTH_SIDES_OF_THE_CUTOFF:
+    for replicas in REPLICA_COUNTS:
         states = np.tile([1, 2, 3], (replicas, 1))
         states[-1, 0] = 2**53 + 1
         with pytest.raises(OverflowGuardError):
@@ -157,7 +157,7 @@ def test_rates_past_numpys_sampler_limit_raise_the_overflow_guard():
     with pytest.raises(OverflowGuardError, match="lam value too large"):
         simulate_trajectory(model, 3, 0, initial=[2**53])
     geometric = build_model([Geometric([1e-7])], Poisson([1.0]))
-    for replicas in BOTH_SIDES_OF_THE_CUTOFF:
+    for replicas in REPLICA_COUNTS:
         with pytest.raises(OverflowGuardError, match="lam value too large"):
             step_ensemble(model, np.full((replicas, 1), 2**53), np.random.default_rng(0))
         with pytest.raises(OverflowGuardError, match="lam value too large"):
@@ -188,7 +188,7 @@ def test_step_ensemble_guard_bounds_are_inclusive_where_they_were():
 def test_geometric_immigration_past_numpys_sampler_limit_raises_the_overflow_guard():
     # Exp(1) * (1-p)/p with p = 1e-30 is far past the largest Poisson rate numpy draws
     model = build_model([Poisson([1.0])], Geometric([1e-30]))
-    for replicas in BOTH_SIDES_OF_THE_CUTOFF:
+    for replicas in REPLICA_COUNTS:
         states = np.arange(replicas)[:, None] * 5
         with pytest.raises(OverflowGuardError, match="numpy's sampler"):
             step_ensemble(model, states, np.random.default_rng(0))
@@ -428,15 +428,14 @@ def _same_draws(a: np.ndarray, b: np.ndarray, rng_a, rng_b) -> bool:
 
 
 def test_small_and_large_batches_draw_the_array_call_stream():
-    # Small batches draw one scalar variate at a time; the values and the
-    # generator state must equal those of one array call, on both sides of
-    # the cutoff, for every model kind whose step draws Poisson or Gamma
-    # variates.  States include zeros (Gamma shape 0 draws nothing) and reach
+    # At every batch size the values and the generator state must equal
+    # those of one array call, for every model kind whose step draws Poisson
+    # or Gamma variates.  States include zeros (Gamma shape 0 draws nothing) and reach
     # Poisson rates on both sides of numpy's switch of algorithm at 10.
     model_rng = np.random.default_rng(1818)
     for p in (1, 3, 4):
         for model in _oracle_models(p, model_rng):
-            for replicas in range(2 * _SCALAR_DRAWS + 1):
+            for replicas in range(25):
                 states = model_rng.integers(0, 12, size=(replicas, p)) * (model_rng.random((replicas, p)) < 0.8)
                 seed = int(model_rng.integers(2**32))
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -454,7 +453,7 @@ def test_draw_matches_the_array_call_for_every_parameter_range():
         ("standard_gamma", float, lambda n: model_rng.choice([0, 1, 2, 7, 1000], size=n)),
     )
     for name, dtype, params in samplers:
-        for size in range(2 * _SCALAR_DRAWS + 1):
+        for size in range(25):
             for shape in ((size,), (size, 1), (1, size), (2, size)):
                 values = params(int(np.prod(shape))).reshape(shape)
                 seed = int(model_rng.integers(2**32))
@@ -466,7 +465,7 @@ def test_draw_matches_the_array_call_for_every_parameter_range():
 def test_geometric_rates_match_the_array_call():
     model_rng = np.random.default_rng(1820)
     for law in (Geometric([0.5]), Geometric([0.3, 1.0, 0.8]), Geometric([1.0, 1.0]), Geometric([0.2, 0.9, 0.6, 1.0])):
-        for size in range(2 * _SCALAR_DRAWS + 1):
+        for size in range(25):
             counts = model_rng.integers(0, 6, size=size)
             seed = int(model_rng.integers(2**32))
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -644,7 +643,7 @@ def test_lock_step_guards_raise_what_the_one_row_stream_raises():
         (bernoulli, -3),
     ]
     for model, bad in cases:
-        for replicas, row in ((1, 0), (5, 0), (5, 3), (_SCALAR_DRAWS + 2, _SCALAR_DRAWS + 1)):
+        for replicas, row in ((1, 0), (5, 0), (5, 3), (14, 13)):
             states = np.arange(replicas)[:, None] % 4
             states[row] = bad
             keys = [np.random.SeedSequence(entropy=7, spawn_key=(r,)) for r in range(replicas)]
