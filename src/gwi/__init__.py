@@ -47,7 +47,6 @@ from .moments import (
     variance_matrix,
 )
 from .simulate import (
-    DecompositionComponents,
     Trajectory,
     decomposition_components,
     martingale_increments,

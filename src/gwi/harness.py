@@ -54,11 +54,17 @@ class ScaledStepProcess:
     """Piecewise-constant evaluator t -> n^{-e_i} X_{floor(n t), i}.
 
     Right-continuous in t; the trajectory must reach generation floor(n t).
+    ``n`` must be an integer >= 1, with one exponent per column of ``states``.
     """
 
     n: int
     exponents: tuple[int, ...]
     states: np.ndarray
+
+    def __post_init__(self):
+        _integer(self.n, "n", 1)
+        if np.ndim(self.states) != 2 or len(self.exponents) != np.shape(self.states)[1]:
+            raise ValidationError("exponents must give one exponent per column of states")
 
     def __call__(self, t: float) -> np.ndarray:
         if not 0 <= t < math.inf:
@@ -362,9 +368,9 @@ def growth_fit(
 ) -> GrowthFitResult:
     """Monte Carlo growth-exponent fit for martingale moment quantities.
 
-    * ``sup_sum_sq``: E sup_{k <= n} (sum_{l<=k} (M_{l,i} + b_i))^2, fitted
+    * ``sup_sum_sq``: E sup_{k <= n} W_0[k]_i^2 with W_0[k] = sum_{l<=k} (M_l + b),
       across n in ``n_list``; predicted slope is the mean growth degree + 1.
-    * ``weighted_sup_sum_sq``: same with weights (k - l); predicted degree + 3.
+    * ``weighted_sup_sum_sq``: same for W_1, weights (k - l); predicted degree + 3.
     * ``fourth_moment``: E M_{k,i}^4 across k in ``n_list``; predicted slope 2
       for coordinates fed by their own type only.
 
@@ -394,7 +400,7 @@ def growth_fit(
         targets = tuple(
             float(e) for e in targets_all["weighted_sum_sup" if weighted else "sum_sup"]
         )
-        estimates = _sup_sum_estimates(model, innovations, n_list, replicas, weighted=weighted)
+        estimates = _sup_sum_estimates(model, innovations, n_list, replicas, int(weighted))
 
     slopes: list[float | None] = []
     log_sizes = np.log(np.asarray(n_list, dtype=float))
@@ -426,21 +432,20 @@ def _innovations(model: GwiModel, steps: int, replicas: int, key):
 
 
 def _sup_sum_estimates(
-    model: GwiModel, innovations, n_list: list[int], replicas: int, *, weighted: bool
+    model: GwiModel, innovations, n_list: list[int], replicas: int, m: int
 ) -> np.ndarray:
-    """Mean over replicas of sup_{k<=n} S_k^2 (or W_k^2) at each n in n_list."""
-    running = np.zeros((replicas, model.p))
-    weighted_sum = np.zeros((replicas, model.p))
+    """Mean over replicas of sup_{k<=n} W_m[k]^2 at each n in n_list, m = 0 or 1.
+
+    Row j of ``w`` is W_j[k] = sum_{l<=k} binom(k - l, j) (M_l + b), streamed
+    as ``simulate._prefix_sums`` sums: W_j += W_{j-1} for j >= 1, then W_0 += M_k + b.
+    """
+    w = np.zeros((m + 1, replicas, model.p))
     best = np.zeros((replicas, model.p))
     results: dict[int, np.ndarray] = {}
     for k, innov in enumerate(innovations, start=1):
-        if weighted:
-            weighted_sum += running
-            best = np.maximum(best, weighted_sum**2)
-            running += innov
-        else:
-            running += innov
-            best = np.maximum(best, running**2)
+        w[1:] += w[:-1]
+        w[0] += innov
+        best = np.maximum(best, w[m] ** 2)
         if k in n_list:
             results[k] = np.mean(best, axis=0)
     return np.stack([results[n] for n in n_list])

@@ -317,10 +317,14 @@ def simulate_limit_system(
 
 def _grid_indices(t_points, dt: float) -> np.ndarray:
     t_points = np.asarray(t_points, dtype=float)
-    if t_points.ndim != 1 or t_points.size == 0 or np.any(t_points < 0):
+    if t_points.ndim != 1 or t_points.size == 0 or not np.all(t_points >= 0):  # nan fails
         raise ValidationError("t_points must be nonnegative and nonempty")
     if not (dt > 0 and math.isfinite(dt)):  # inf would pass the check below: 0 * inf is nan
         raise ValidationError("dt must be positive and finite")
+    # checked before the cast to int, which warns past 2**53; Python floats overflow to inf silently
+    steps = float(t_points.max()) / float(dt)
+    if not steps < 2**53:
+        raise ValidationError(f"t / dt = {steps:.6g} steps, more than 2**53")
     indices = np.round(t_points / dt).astype(int)
     if np.any(np.abs(indices * dt - t_points) > 1e-9):
         raise ValidationError("every t point must lie on the dt grid")

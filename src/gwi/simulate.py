@@ -17,8 +17,9 @@ estimates.  One generator per row: :func:`simulate_replicas` steps replicas
 on its seeds and not on which other replicas run; :func:`simulate_trajectory`
 is its one-replica case.  Both are deterministic given their seeds.
 
-The path decomposition, the sum identities and the step integrals of
-``gwi.harness`` all read one m-fold exclusive prefix sum, :func:`_prefix_sums`.
+The path decomposition's array ``w[i, m]`` (W_m of type i), the sum identities
+and the step integrals of ``gwi.harness`` all read one m-fold exclusive prefix
+sum, :func:`_prefix_sums`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "stream_ensemble",
     "simulate_ensemble",
     "martingale_increments",
-    "DecompositionComponents",
     "decomposition_components",
     "weighted_sum_identity_1",
     "weighted_sum_identity_2",
@@ -347,41 +347,19 @@ def _prefix_sums(values, depth: int) -> list:
     return sums
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionComponents:
-    """Weighted innovation sums that rebuild a 3-type lower-unipotent path.
+def decomposition_components(trajectory: Trajectory, *, rtol: float = 1e-9) -> np.ndarray:
+    """Weighted innovation sums ``w[i, m, k]``, shape (3, 3, K+1), that rebuild the path.
 
-    With innovations g_i(l) = M_{l,i} + b_i, entry k of each array is:
-
-    * ``sum1``, ``sum2``, ``sum3``: plain sums over l <= k of g_1, g_2, g_3;
-    * ``lin1``, ``lin2``: sums of (k - l) g_1(l) and (k - l) g_2(l);
-    * ``quad1``: sum of binom(k - l, 2) g_1(l).
-
-    They are entries of W_m[k] = sum_{l <= k} binom(k - l, m) g(l), and
-    A^j = sum_m binom(j, m) C^m with C = A - I (C^3 = 0) gives the
-    reconstruction, exact up to round-off:
+    With innovations g_i(l) = M_{l,i} + b_i, ``w[i, m]`` is W_m of type i,
+    W_m[k] = sum_{l <= k} binom(k - l, m) g_i(l): S_{m+1} of :func:`_prefix_sums`
+    over the innovation column, in float64.  A^j = sum_m binom(j, m) C^m with
+    C = A - I (C^3 = 0) gives the reconstruction, exact up to round-off:
 
         X_k = W_0[k] + C W_1[k] + C^2 W_2[k].
 
-    In coordinates, X_{k,3} = a32 a21 quad1 + a31 lin1 + a32 lin2 + sum3.
-    """
-
-    sum1: np.ndarray
-    lin1: np.ndarray
-    quad1: np.ndarray
-    sum2: np.ndarray
-    lin2: np.ndarray
-    sum3: np.ndarray
-
-
-def decomposition_components(
-    trajectory: Trajectory, *, rtol: float = 1e-9
-) -> DecompositionComponents:
-    """Compute the weighted sums and verify they rebuild the trajectory.
-
-    W_m is S_{m+1} of :func:`_prefix_sums` over each innovation column, in
-    float64.  Raises :class:`ConsistencyError` if any reconstruction residual
-    exceeds ``rtol`` relative to the state magnitude.
+    In coordinates, X_{k,3} = a32 a21 w[0, 2] + a31 w[0, 1] + a32 w[1, 1] + w[2, 0].
+    Raises :class:`ConsistencyError` if any reconstruction residual exceeds
+    ``rtol`` relative to the state magnitude.
     """
     model = trajectory.model
     if model.p != 3 or not model.is_lower_unipotent():
@@ -390,7 +368,6 @@ def decomposition_components(
         raise ValidationError("decomposition assumes the trajectory starts at zero")
     states = trajectory.states.astype(float)
     innov = martingale_increments(trajectory) + model.b  # M_l + b, shape (K, 3)
-    # w[i, m, k] = W_m[k] of type i, read off S_1..S_3 of innovation column i
     levels = [_prefix_sums(column, 3)[1:] for column in innov.T.tolist()]
     w = np.array([[level[: len(states)] for level in column] for column in levels], dtype=float)
     c = np.tril(model.A, -1)
@@ -403,9 +380,20 @@ def decomposition_components(
         raise ConsistencyError(
             f"decomposition reconstruction residual {residual:.3e} exceeds {rtol:.1e}"
         )
-    return DecompositionComponents(
-        sum1=w[0, 0], lin1=w[0, 1], quad1=w[0, 2], sum2=w[1, 0], lin2=w[1, 1], sum3=w[2, 0]
-    )
+    return w
+
+
+def _binomial_identity(f: Callable[[int], int], k: int, n: int, m: int, first: int):
+    """(sum_{l=first..k} binom(k - l, m) f(l), Fraction(S_{m+1}[k + 1 - first])).
+
+    S_{m+1} is the (m+1)-fold sum of :func:`_prefix_sums` over f(first..k);
+    the left side is the direct binomial sum it is checked against.
+    """
+    k = _integer(k, "k", 1)
+    _integer(n, "n", 1)  # checked only: the panel widths 1/n cancel
+    values = [f(l) for l in range(first, k + 1)]
+    lhs = sum(comb(k - l, m) * value for l, value in enumerate(values, first))
+    return lhs, Fraction(_prefix_sums(values, m + 1)[m + 1][k + 1 - first], 1)
 
 
 def weighted_sum_identity_1(f: Callable[[int], int], k: int, n: int):
@@ -419,10 +407,7 @@ def weighted_sum_identity_1(f: Callable[[int], int], k: int, n: int):
     Integer- and Fraction-valued f give exact equality; a float-valued f
     raises ``TypeError``.  Returns (lhs, rhs).
     """
-    k = _integer(k, "k", 1)
-    _integer(n, "n", 1)  # checked only: the panel width 1/n cancels
-    values = [f(l) for l in range(k + 1)]
-    return sum(values), Fraction(_prefix_sums(values, 1)[1][k + 1], 1)
+    return _binomial_identity(f, k, n, 0, 0)
 
 
 def weighted_sum_identity_2(f: Callable[[int], int], k: int, n: int):
@@ -435,11 +420,7 @@ def weighted_sum_identity_2(f: Callable[[int], int], k: int, n: int):
     over f(1..k) as one ``Fraction``.  Returns (lhs, rhs), exact for integer
     or Fraction f; a float-valued f raises ``TypeError``.
     """
-    k = _integer(k, "k", 1)
-    _integer(n, "n", 1)  # checked only: the panel width 1/n cancels
-    values = [f(l) for l in range(1, k + 1)]
-    lhs = sum((k - l) * value for l, value in enumerate(values, 1))
-    return lhs, Fraction(_prefix_sums(values, 2)[2][k], 1)
+    return _binomial_identity(f, k, n, 1, 1)
 
 
 def weighted_sum_identity_3(f: Callable[[int], int], k: int, n: int):
@@ -453,8 +434,4 @@ def weighted_sum_identity_3(f: Callable[[int], int], k: int, n: int):
     as one ``Fraction``.  Returns (lhs, rhs), exact for integer or Fraction
     f; a float-valued f raises ``TypeError``.
     """
-    k = _integer(k, "k", 1)
-    _integer(n, "n", 1)  # checked only: the panel width 1/n cancels
-    values = [f(l) for l in range(1, k + 1)]
-    lhs = sum(comb(k - l, 2) * value for l, value in enumerate(values, 1))
-    return lhs, Fraction(_prefix_sums(values, 3)[3][k], 1)
+    return _binomial_identity(f, k, n, 2, 1)

@@ -793,6 +793,18 @@ def test_sde_grid_past_2_53_steps_exits_2(tmp_path, capsys, grid):
     assert len(err) == 1 and "2**53" in err[0], err
 
 
+def test_converge_grid_past_2_53_steps_exits_2(tmp_path, case4_model_path, capsys):
+    cfg_path = tmp_path / "converge.json"
+    cfg = {"model": case4_model_path, "case": 4, "n_list": [4], "t_points": [0.5, 1.0],
+           "replicas": 1000, "sde_paths": 2, "dt": 1e-300, "out_dir": str(tmp_path / "exp")}
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["converge", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "2**53" in err[0], err
+
+
 @pytest.fixture
 def tiny_a21_model_path(tmp_path) -> str:
     # a21 = 1e-13 is positive, so the pattern is "only a21": pattern 2 after swapping types 2 and 3

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,21 @@ def test_scaled_step_process_rejects_times_off_the_trajectory(t):
     assert np.array_equal(proc(1.99), proc(2.0)) and proc(2.0).shape == (3,)
 
 
+@pytest.mark.parametrize(
+    "n, exponents",
+    [(-2, (1, 1, 1)), (0, (1, 1, 1)), (2.5, (1, 1, 1)), ("2", (1, 1, 1)), (2, (1, 1)), (2, (1, 1, 1, 1))],
+)
+def test_scaled_step_process_validates_n_and_exponents(n, exponents):
+    # n = -2 would read the last generation, n = 0 divide by zero, 2 exponents fail to broadcast
+    states = np.arange(30).reshape(10, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            ScaledStepProcess(n=n, exponents=exponents, states=states)(0.5)
+    proc = ScaledStepProcess(n=np.int64(2), exponents=(1, 1, 1), states=states)
+    assert proc(0.5).tolist() == [1.5, 2.0, 2.5]
+
+
 def test_step_integral_functional_constant():
     values = np.full(11, 3)
     f_t, single, double = step_integral_functional(values, 4, 2.0)
@@ -125,14 +142,14 @@ def test_step_integral_functional_sums_in_index_order():
 def test_step_integral_functional_matches_decomposition():
     model = poisson_case_model(4)
     traj = simulate_trajectory(model, 60, seed=5)
-    comp = decomposition_components(traj)
+    w = decomposition_components(traj)
     n = 12
     for k in (1, 7, 30, 60):
         t = k / n
-        f_t, single, double = step_integral_functional(comp.sum1, n, t)
-        assert f_t == pytest.approx(comp.sum1[k])
-        assert single * n == pytest.approx(comp.lin1[k], rel=1e-12, abs=1e-9)
-        assert double * n**2 == pytest.approx(comp.quad1[k], rel=1e-12, abs=1e-9)
+        f_t, single, double = step_integral_functional(w[0, 0], n, t)
+        assert f_t == pytest.approx(w[0, 0, k])
+        assert single * n == pytest.approx(w[0, 1, k], rel=1e-12, abs=1e-9)
+        assert double * n**2 == pytest.approx(w[0, 2, k], rel=1e-12, abs=1e-9)
 
 
 def test_ks_two_sample_examples():

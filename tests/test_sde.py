@@ -383,6 +383,25 @@ def test_marginals_reject_an_infinite_dt():
                 limit_system_marginals(system, [0.5, 1.0], dt, 4, 0)
 
 
+@pytest.mark.parametrize(
+    "t_points, dt, match",
+    [
+        ([1e300], 1.0, r"2\*\*53"),
+        ([0.5, 1.0], 1e-300, r"2\*\*53"),
+        ([1e300], 1e-300, r"2\*\*53"),  # t / dt overflows to inf
+        ([1.0, math.inf], 0.5, r"2\*\*53"),
+        ([1.0, math.nan], 0.5, "nonnegative"),
+    ],
+)
+def test_marginals_reject_times_past_2_53_steps(t_points, dt, match):
+    # refused before the cast to int, which warns past 2**53 and on nan
+    system = LimitSystem(case=1, b=(1, 1, 1), v=(1, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=match):
+            limit_system_marginals(system, t_points, dt, 2, 0)
+
+
 def test_limit_system_rejects_negative_and_non_integer_seeds():
     system = besq_system(1.0, 1.0)
     grid = make_grid(0.1, 0.01)

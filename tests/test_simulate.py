@@ -801,35 +801,37 @@ def test_empirical_martingale_property():
 def test_decomposition_zero_model():
     model = poisson_case_model(4, immigration=(0, 0, 0))
     traj = simulate_trajectory(model, 15, seed=1)
-    comp = decomposition_components(traj)
-    for arr in (comp.sum1, comp.lin1, comp.quad1, comp.sum2, comp.lin2, comp.sum3):
-        assert np.all(arr == 0.0)
+    w = decomposition_components(traj)
+    assert (w.dtype, w.shape) == (np.float64, (3, 3, 16))
+    for i in range(3):
+        for m in range(3):
+            assert np.all(w[i, m] == 0.0), (i, m)
 
 
 def test_decomposition_identity_pattern_is_plain_sums():
     model = poisson_case_model(1)
     traj = simulate_trajectory(model, 40, seed=8)
-    comp = decomposition_components(traj)
+    w = decomposition_components(traj)
     states = traj.states.astype(float)
-    assert np.allclose(comp.sum1, states[:, 0])
-    assert np.allclose(comp.sum2, states[:, 1])
-    assert np.allclose(comp.sum3, states[:, 2])
+    assert np.allclose(w[0, 0], states[:, 0])
+    assert np.allclose(w[1, 0], states[:, 1])
+    assert np.allclose(w[2, 0], states[:, 2])
 
 
 def test_decomposition_case4_reconstruction():
     model = poisson_case_model(4)
     for seed in range(10):
         traj = simulate_trajectory(model, 50, seed=seed)
-        comp = decomposition_components(traj, rtol=1e-9)
+        w = decomposition_components(traj, rtol=1e-9)
         # the linearly weighted type-1 sum serves both roles
         k = traj.steps
         states = traj.states.astype(float)
         a21, a31, a32 = model.A[1, 0], model.A[2, 0], model.A[2, 1]
         assert states[k, 2] == pytest.approx(
-            a32 * a21 * comp.quad1[k]
-            + a31 * comp.lin1[k]
-            + a32 * comp.lin2[k]
-            + comp.sum3[k],
+            a32 * a21 * w[0, 2, k]
+            + a31 * w[0, 1, k]
+            + a32 * w[1, 1, k]
+            + w[2, 0, k],
             rel=1e-9,
         )
 
@@ -837,13 +839,13 @@ def test_decomposition_case4_reconstruction():
 def test_decomposition_direct_weighted_sum_oracle():
     model = poisson_case_model(4)
     traj = simulate_trajectory(model, 25, seed=77)
-    comp = decomposition_components(traj)
+    w = decomposition_components(traj)
     innov = martingale_increments(traj) + model.b
     for k in (1, 5, 25):
         direct_lin = sum((k - l) * innov[l - 1, 0] for l in range(1, k + 1))
         direct_quad = sum(comb(k - l, 2) * innov[l - 1, 0] for l in range(1, k + 1))
-        assert comp.lin1[k] == pytest.approx(direct_lin, rel=1e-12, abs=1e-9)
-        assert comp.quad1[k] == pytest.approx(direct_quad, rel=1e-12, abs=1e-9)
+        assert w[0, 1, k] == pytest.approx(direct_lin, rel=1e-12, abs=1e-9)
+        assert w[0, 2, k] == pytest.approx(direct_quad, rel=1e-12, abs=1e-9)
 
 
 def _cumsum_weighted_sums(innovations):
@@ -864,16 +866,12 @@ def _cumsum_weighted_sums(innovations):
 @pytest.mark.parametrize("steps", [0, 1, 3, 60])
 def test_decomposition_fields_match_the_cumsum_oracle_bytewise(model, steps):
     traj = simulate_trajectory(model, steps, seed=steps + 11)
-    comp = decomposition_components(traj)
+    w = decomposition_components(traj)
+    assert (w.dtype, w.shape) == (np.float64, (3, 3, steps + 1))
     innov = martingale_increments(traj) + model.b
-    sum1, lin1, quad1 = _cumsum_weighted_sums(innov[:, 0])
-    sum2, lin2, _ = _cumsum_weighted_sums(innov[:, 1])
-    sum3 = _cumsum_weighted_sums(innov[:, 2])[0]
-    expected = dict(sum1=sum1, lin1=lin1, quad1=quad1, sum2=sum2, lin2=lin2, sum3=sum3)
-    for name, want in expected.items():
-        got = getattr(comp, name)
-        assert (got.dtype, got.shape) == (np.float64, (steps + 1,)), name
-        assert got.tobytes() == want.tobytes(), name
+    for i in range(3):
+        for m, want in enumerate(_cumsum_weighted_sums(innov[:, i])):
+            assert w[i, m].tobytes() == want.tobytes(), (i, m)
 
 
 @settings(max_examples=80, deadline=None)
